@@ -62,7 +62,6 @@ from .dataframe.cells import CellType
 from .dataframe.compare import tables_match_for_synthesis
 from .dataframe.table import Table
 from .engine.context import TaskContext
-from .engine.distributed import DistributedScheduler
 
 #: Session lifecycle states (see DESIGN.md, "Synthesis as a service").
 STATUS_CREATED = "created"
@@ -474,14 +473,6 @@ class SynthesisSession:
         """
         if self.finished:
             return True
-        if self.request.config.distributed:
-            # Burst routing: the distributed scheduler's bulk-synchronous
-            # rounds cannot be sliced at step granularity, and its
-            # solve/timeout decision is a pure function of the deterministic
-            # step budget, so one drive always reaches a finished state.
-            # The whole burst runs under the caller's work lock.
-            self._solve_distributed()
-            return self.finished
         with self.context.active():
             budget = self.request.config.timeout
             remaining = None if budget is None else budget - self.active_seconds
@@ -680,18 +671,7 @@ class SynthesisSession:
         benchmark harness diffs these byte-for-byte across schedulers);
         multi-example sessions keep searching until a candidate passes every
         example or the budget expires.
-
-        Distributed configurations (``config.distributed``) route through
-        :class:`~repro.engine.distributed.DistributedScheduler` instead: the
-        frontier is fanned over a worker pool and the solve/timeout decision
-        is a function of the deterministic step budget rather than the wall
-        clock.  Multi-example validation applies identically, but the
-        widen-the-quota loop is not iterated -- validators filter the
-        returned candidates without extending the search.
         """
-        if self.request.config.distributed:
-            result = self._solve_distributed()
-            return self._filter_validated(result)
         started = time.monotonic()
         timeout = self.request.config.timeout
         deadline = started + timeout if timeout is not None else None
@@ -719,9 +699,6 @@ class SynthesisSession:
             result = self._morpheus.finalize(
                 self._kernel, elapsed=time.monotonic() - started
             )
-        return self._filter_validated(result)
-
-    def _filter_validated(self, result: CoreSynthesisResult) -> CoreSynthesisResult:
         if len(self._examples) > 1:
             # The core result reports programs consistent with *every*
             # example, not just the primary one the kernel enumerates on.
@@ -733,32 +710,6 @@ class SynthesisSession:
             result.programs = validated
             result.program = validated[0] if validated else None
             result.solved = bool(validated)
-        return result
-
-    def _solve_distributed(self) -> CoreSynthesisResult:
-        """One distributed burst: fan the frontier over the worker pool.
-
-        The scheduler drives the session's kernel to a decision under the
-        deterministic step budget (:meth:`DistributedScheduler.step_budget`),
-        never the wall clock, so the resulting status cannot flip between
-        ``timeout`` and the others on an oversubscribed host.  Always leaves
-        the session in a finished state.
-        """
-        with self.context.active():
-            kb = self.context.kb
-            scheduler = DistributedScheduler(
-                self.request.config,
-                library=self._morpheus.library,
-                kb_path=kb.path if kb is not None else None,
-            )
-            result = scheduler.drive(self._examples[0], self._kernel)
-            self._drain()
-            if self.validated_count >= self._target:
-                self.status = STATUS_DONE
-            elif scheduler.frontier_exhausted:
-                self.status = STATUS_EXHAUSTED
-            else:
-                self.status = STATUS_TIMEOUT
         return result
 
 

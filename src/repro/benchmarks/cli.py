@@ -4,7 +4,6 @@ Examples::
 
     python -m repro.benchmarks.cli figure16 --timeout 20
     python -m repro.benchmarks.cli figure16 --timeout 20 --jobs 4
-    python -m repro.benchmarks.cli figure16 --timeout 20 --distributed --workers 2
     python -m repro.benchmarks.cli figure16 --timeout 20 --no-cdcl --stats
     python -m repro.benchmarks.cli figure16 --timeout 20 --no-prescreen --stats
     python -m repro.benchmarks.cli figure16 --timeout 20 --no-oe --stats
@@ -24,14 +23,6 @@ same arguments).  ``--tasks REGEX`` restricts the suite to benchmarks whose
 name matches the regex (combinable with ``--categories``/``--names``), and
 ``--list-tasks`` prints the selected benchmark names without running
 anything -- the single-task iteration loop.
-
-``--distributed`` parallelises *within* each task instead: the cost-ordered
-frontier is split into cost-contiguous work units fanned over ``--workers
-N`` processes (:mod:`repro.engine.distributed`).  Synthesized programs and
-all deterministic counters are byte-identical to the serial run for every
-worker count, and each task's solve/timeout decision is a function of a
-deterministic step budget (derived from ``--timeout``) rather than the wall
-clock.  Mutually exclusive with ``--jobs``.
 
 ``--no-cdcl`` disables conflict-driven lemma learning, ``--no-prescreen``
 the tier-1 interval prescreen, and ``--no-oe`` the observational-equivalence
@@ -82,7 +73,6 @@ from ..baselines.configurations import (
     FIGURE16_CONFIGS,
     override_config,
     with_backend,
-    with_distributed,
     with_top_k,
     without_cdcl,
     without_oe,
@@ -206,20 +196,6 @@ def main(argv=None) -> int:
              "(1 = serial; solve/fail outcomes match the serial run unless "
              "per-task solve times approach --timeout while workers "
              "oversubscribe the CPUs)",
-    )
-    parser.add_argument(
-        "--distributed", action="store_true",
-        help="fan each task's own frontier over a worker pool (the "
-             "distributed frontier scheduler, repro.engine.distributed): "
-             "programs and deterministic counters are byte-identical to the "
-             "serial run for every worker count, and solve/timeout is "
-             "decided by a deterministic step budget instead of the wall "
-             "clock (figure16 and figure17; mutually exclusive with --jobs)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker processes for --distributed (default: the host's core "
-             "count; 1 runs the identical schedule in-process)",
     )
     parser.add_argument(
         "--no-cdcl", action="store_true",
@@ -397,15 +373,6 @@ def main(argv=None) -> int:
         for benchmark in _subset(args, parser):
             print(f"{benchmark.name}\t{benchmark.category}\t{benchmark.description}")
         return 0
-    if args.distributed and args.figure not in ("figure16", "figure17"):
-        parser.error("--distributed is only available for figure16 and figure17")
-    if args.distributed and args.jobs != 1:
-        parser.error("--distributed parallelises within each task; it is "
-                     "mutually exclusive with --jobs (across-task fan-out)")
-    if args.workers is not None and not args.distributed:
-        parser.error("--workers requires --distributed")
-    if args.workers is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.top_k != 1 and args.figure not in ("figure16", "figure17"):
         parser.error("--top-k is only available for figure16 and figure17")
     if args.stats and args.figure not in ("figure16", "figure17"):
@@ -439,8 +406,6 @@ def main(argv=None) -> int:
             configurations = with_top_k(configurations, args.top_k)
         if args.backend != "python":
             configurations = with_backend(configurations, args.backend)
-        if args.distributed:
-            configurations = with_distributed(configurations, args.workers)
         return configurations
 
     def emit(runs) -> int:
@@ -460,8 +425,6 @@ def main(argv=None) -> int:
                 "oe": not args.no_oe,
                 "top_k": args.top_k,
                 "backend": args.backend,
-                "distributed": args.distributed,
-                "workers": args.workers,
                 "runs": suite_runs_json(runs),
             }
             with open(args.json, "w") as handle:

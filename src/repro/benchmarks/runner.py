@@ -239,10 +239,10 @@ def run_suite(
         )
     if kb_path is not None:
         from ..engine.kb import current_kb
-        from ..engine.parallel import _init_worker_kb
+        from ..engine.parallel import init_worker_kb
 
         if current_kb() is None:
-            _init_worker_kb(kb_path)
+            init_worker_kb(kb_path)
     config = config_factory(timeout)
     run = SuiteRun(configuration=label or config.describe())
     for benchmark in suite:

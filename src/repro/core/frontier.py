@@ -171,15 +171,12 @@ class Frontier:
             self.peak = size
 
     # ------------------------------------------------------------------
-    def priority(self, hypothesis: Hypothesis) -> Tuple[float, int]:
-        """The cost model's priority key for *hypothesis*."""
-        return self._cost_model.priority(
-            hypothesis_size(hypothesis), component_sequence(hypothesis)
-        )
-
     def push_hypothesis(self, hypothesis: Hypothesis, tiebreak: int) -> None:
         """Enqueue a hypothesis under the cost model's priority."""
-        heapq.heappush(self._heap, (self.priority(hypothesis), tiebreak, hypothesis))
+        priority = self._cost_model.priority(
+            hypothesis_size(hypothesis), component_sequence(hypothesis)
+        )
+        heapq.heappush(self._heap, (priority, tiebreak, hypothesis))
         self._note_size()
 
     def push_continuation(self, state) -> None:
@@ -199,10 +196,8 @@ class Frontier:
         """The pending hypothesis lane as ``(tiebreak, hypothesis)`` pairs.
 
         Entries come back in canonical ``(priority, tiebreak)`` order -- the
-        exact order ``pop()`` would drain them -- not raw heap-array order.
-        Canonical order is what makes the snapshot of a frontier a pure
-        function of its *contents*: splitting a frontier into work units and
-        merging the parts back reproduces the byte-identical pending lane.
+        exact order ``pop()`` would drain them -- not raw heap-array order,
+        so the snapshot of a frontier is a pure function of its *contents*.
         """
         ordered = sorted(self._heap, key=lambda entry: (entry[0], entry[1]))
         return [(tiebreak, hypothesis) for _, tiebreak, hypothesis in ordered]
@@ -210,73 +205,6 @@ class Frontier:
     def continuation_states(self) -> list:
         """The pending continuation-lane states (in push order, read-only)."""
         return list(self._continuations)
-
-    # ------------------------------------------------------------------
-    # Partitioning (distributed search)
-    # ------------------------------------------------------------------
-    def split(self, parts: int) -> List["Frontier"]:
-        """Partition the hypothesis lane into *parts* cost-contiguous frontiers.
-
-        The pending lane is read in canonical ``(priority, tiebreak)`` order
-        and dealt into ``parts`` contiguous chunks of near-equal length (the
-        first ``len % parts`` chunks take one extra entry), so part 0 holds
-        the cheapest hypotheses and the last part the costliest.  The
-        receiver is not mutated -- the caller decides when to retire it.
-
-        Determinism contract: ``merge(split(n))`` restores a frontier whose
-        canonical pending lane -- and therefore whose snapshot JSON -- is
-        byte-identical to the original, for every ``n``.  Splitting is only
-        defined at a hypothesis boundary: a frontier with pending
-        continuation states (a half-expanded hypothesis) raises
-        ``ValueError``, because continuations hold live iterators that cannot
-        be partitioned.
-        """
-        if parts < 1:
-            raise ValueError(f"parts must be >= 1, got {parts}")
-        if self._continuations:
-            raise ValueError(
-                "cannot split a frontier with pending continuation states; "
-                "drain the expansion in flight first (run_to_boundary)"
-            )
-        ordered = sorted(self._heap, key=lambda entry: (entry[0], entry[1]))
-        chunk, extra = divmod(len(ordered), parts)
-        result: List[Frontier] = []
-        index = 0
-        for part_index in range(parts):
-            take = chunk + (1 if part_index < extra else 0)
-            part = Frontier(self._cost_model)
-            for entry in ordered[index : index + take]:
-                heapq.heappush(part._heap, entry)
-            part.peak = len(part._heap)
-            index += take
-            result.append(part)
-        return result
-
-    @classmethod
-    def merge(cls, parts: List["Frontier"]) -> "Frontier":
-        """Recombine frontiers produced by :meth:`split` (or unit residuals).
-
-        The inverse of :meth:`split`: the merged frontier holds the union of
-        the parts' hypothesis lanes under the first part's cost model, and
-        its canonical order -- global ``(priority, tiebreak)`` -- is
-        independent of how entries were distributed across parts, which is
-        the merge-order rule the distributed scheduler's determinism rests
-        on.  Parts with pending continuation states raise ``ValueError``
-        (suspend them to a snapshot first).
-        """
-        if not parts:
-            raise ValueError("merge needs at least one frontier")
-        merged = cls(parts[0]._cost_model)
-        for part in parts:
-            if part._continuations:
-                raise ValueError(
-                    "cannot merge a frontier with pending continuation states"
-                )
-            for entry in part._heap:
-                heapq.heappush(merged._heap, entry)
-        merged.peak = len(merged._heap)
-        return merged
-
 
 # ----------------------------------------------------------------------
 # Hypothesis (de)serialisation for the resume state
@@ -327,33 +255,6 @@ def decode_hypothesis(payload: dict, library) -> Hypothesis:
         Hole(value["id"], Type(value["type"])) for value in payload["values"]
     )
     return Apply(payload["id"], component, children, values)
-
-
-# ----------------------------------------------------------------------
-# Provenance ranks
-# ----------------------------------------------------------------------
-# A hypothesis's *rank* encodes where it sits in the serial generation
-# order, independently of which work unit generated it.  The seed
-# hypothesis carries ``(0, tiebreak)``; the refinement produced at fan-out
-# position ``j`` of a parent ``P`` carries ``(1, priority(P), rank(P), j)``.
-# Because priorities strictly increase along refinement and the leading
-# 0/1 discriminator keeps tuple comparisons homogeneous, rank order is
-# exactly the order the serial kernel first generates hypotheses -- which
-# makes ``(priority, rank, found_index)`` a total provenance key on
-# candidate programs that every partition of the search agrees on.  That
-# key is what the distributed scheduler's deterministic merge sorts by.
-
-
-def rank_to_json(rank: tuple) -> list:
-    """Encode a (nested) rank tuple as JSON-able nested lists."""
-    return [rank_to_json(item) if isinstance(item, tuple) else item for item in rank]
-
-
-def rank_from_json(payload: list) -> tuple:
-    """Rebuild a rank tuple from :func:`rank_to_json` output."""
-    return tuple(
-        rank_from_json(item) if isinstance(item, list) else item for item in payload
-    )
 
 
 # ----------------------------------------------------------------------
@@ -412,13 +313,6 @@ class SearchKernel:
         )
         self.frontier = Frontier(cost_model)
         self.solutions: List[Hypothesis] = []
-        #: Provenance key of each entry in :attr:`solutions`:
-        #: ``(priority(H), rank(H), found_index)`` for the expanded
-        #: hypothesis ``H`` whose completion surfaced the program.  Keys are
-        #: partition-independent, so the distributed merge can order
-        #: candidates from different work units exactly as the serial run
-        #: discovers them.
-        self.solution_keys: List[tuple] = []
         #: Rendered programs a pre-restore kernel already found: re-finding
         #: one (the re-expanded in-flight hypothesis repeats its completion
         #: work) must not consume the remaining solution quota again.
@@ -430,15 +324,6 @@ class SearchKernel:
         self._tiebreak = 0
         self._node_counter = 1
         self._in_flight: Optional[Tuple[Hypothesis, int]] = None
-        #: Provenance rank per hypothesis signature (see the module-level
-        #: rank helpers).  Keyed by signature rather than object identity so
-        #: ranks survive the snapshot round-trip with the visited set.
-        self._ranks: dict = {}
-        #: The (priority, rank) of the hypothesis being expanded, plus the
-        #: number of check-passing candidates its completion has surfaced --
-        #: together they mint the provenance keys in :attr:`solution_keys`.
-        self._expansion_key: tuple = ((0.0, 0), (0, 0))
-        self._expansion_found = 0
         #: Active time spent inside ``run()``/``step()`` (the per-task clock
         #: when many kernels share one process).
         self.active_seconds = 0.0
@@ -539,20 +424,13 @@ class SearchKernel:
             self._in_flight = None
 
     # ------------------------------------------------------------------
-    def _push(
-        self,
-        hypothesis: Hypothesis,
-        tiebreak: Optional[int] = None,
-        rank: Optional[tuple] = None,
-    ) -> None:
+    def _push(self, hypothesis: Hypothesis) -> None:
         signature = hypothesis_signature(hypothesis)
         if signature in self._visited:
             return
         self._visited.add(signature)
-        if tiebreak is None:
-            tiebreak = self._tiebreak
-            self._tiebreak += 1
-        self._ranks[signature] = rank if rank is not None else (0, tiebreak)
+        tiebreak = self._tiebreak
+        self._tiebreak += 1
         self.frontier.push_hypothesis(hypothesis, tiebreak)
         self.stats.hypotheses_enqueued += 1
 
@@ -565,11 +443,6 @@ class SearchKernel:
         """Lines 9-18 of Algorithm 1, decomposed into continuation states."""
         hypothesis = state.hypothesis
         self._in_flight = (hypothesis, state.tiebreak)
-        self._expansion_key = (
-            self.frontier.priority(hypothesis),
-            self._ranks.get(hypothesis_signature(hypothesis), (0, state.tiebreak)),
-        )
-        self._expansion_found = 0
         self.stats.hypotheses_expanded += 1
         feasible = self.engine.deduce(hypothesis)
         # The refinement fan-out runs after completion (it is pushed first,
@@ -611,11 +484,6 @@ class SearchKernel:
         if candidate is not None:
             self.stats.programs_checked += 1
             if self._check(candidate):
-                # Mint the provenance key before the re-find filter: a
-                # discarded re-find still advances the found index, so key
-                # numbering matches the uninterrupted serial run.
-                key = (*self._expansion_key, self._expansion_found)
-                self._expansion_found += 1
                 if self._already_found:
                     text = render_program(candidate)
                     if text in self._already_found:
@@ -627,7 +495,6 @@ class SearchKernel:
                             self.frontier.push_continuation(state)
                         return
                 self.solutions.append(candidate)
-                self.solution_keys.append(key)
                 if len(self.solutions) >= self.k:
                     return
         if not state.run.exhausted:
@@ -643,24 +510,11 @@ class SearchKernel:
         """
         if hypothesis_size(hypothesis) >= self.config.max_size:
             return
-        parent_priority = self.frontier.priority(hypothesis)
-        parent_rank = self._ranks.get(
-            hypothesis_signature(hypothesis), (0, 0)
-        )
-        # The fan-out index is positional over the (hole x component) grid,
-        # advancing even when the refinement dedups or the deadline re-runs
-        # this state, so a child's rank never depends on how the fan-out was
-        # interrupted.
-        fanout = 0
         for hole in table_holes(hypothesis, unbound_only=True):
             for component in self.library:
                 if self._expired():
                     raise CompletionTimeout()
-                refined = refine(hypothesis, hole, component, self._next_node_id)
-                self._push(
-                    refined, rank=(1, parent_priority, parent_rank, fanout)
-                )
-                fanout += 1
+                self._push(refine(hypothesis, hole, component, self._next_node_id))
 
     def _check(self, candidate: Hypothesis) -> bool:
         """CHECK(p, E): run the program and compare against the expected output.
@@ -708,36 +562,16 @@ class SearchKernel:
             "tiebreak": self._tiebreak,
             "node_counter": self._node_counter,
             "visited": sorted(self._visited),
-            "pending": self._encode_pending(self.frontier),
+            "pending": [
+                _encode_entry(hypothesis, tiebreak)
+                for tiebreak, hypothesis in self.frontier.heap_entries()
+            ],
             "in_flight": (
-                self._encode_entry(self._in_flight[0], self._in_flight[1])
+                _encode_entry(*self._in_flight)
                 if self._in_flight is not None and self.frontier.has_continuations
                 else None
             ),
-            # Advisory (ignored by restore): the least (priority, rank) any
-            # candidate from this resume state can carry, for the distributed
-            # scheduler's unit selection and confirmation rule.
-            "lower_bound": (
-                rank_to_json(self.lower_bound())
-                if self.lower_bound() is not None
-                else None
-            ),
         }
-
-    def _encode_entry(self, hypothesis: Hypothesis, tiebreak: int) -> dict:
-        """One pending-lane snapshot entry, with its provenance rank."""
-        entry = {"tiebreak": tiebreak, "hypothesis": encode_hypothesis(hypothesis)}
-        rank = self._ranks.get(hypothesis_signature(hypothesis))
-        if rank is not None:
-            entry["rank"] = rank_to_json(rank)
-        return entry
-
-    def _encode_pending(self, frontier: Frontier) -> List[dict]:
-        """Encode *frontier*'s hypothesis lane (canonical order) for a snapshot."""
-        return [
-            self._encode_entry(hypothesis, tiebreak)
-            for tiebreak, hypothesis in frontier.heap_entries()
-        ]
 
     def export_kb_facts(self) -> None:
         """Flush this search's task-scoped facts to the knowledge base.
@@ -844,88 +678,18 @@ class SearchKernel:
         return kernel
 
     def _restore_entry(self, entry: dict, library) -> None:
-        """Re-enqueue one snapshot pending-lane entry (hypothesis + rank)."""
+        """Re-enqueue one snapshot pending-lane entry.
+
+        Keys other than ``tiebreak`` and ``hypothesis`` (such as the
+        per-entry ``rank`` older writers added) are ignored.
+        """
         hypothesis = decode_hypothesis(entry["hypothesis"], library)
-        tiebreak = entry["tiebreak"]
-        self.frontier.push_hypothesis(hypothesis, tiebreak)
-        rank = entry.get("rank")
-        # Pre-rank snapshots (same schema version, no "rank" field) fall
-        # back to the seed form; within one snapshot generation the fallback
-        # never mixes with real ranks, so ordering stays consistent.
-        self._ranks[hypothesis_signature(hypothesis)] = (
-            rank_from_json(rank) if rank is not None else (0, tiebreak)
-        )
+        self.frontier.push_hypothesis(hypothesis, entry["tiebreak"])
 
-    # ------------------------------------------------------------------
-    # Distributed-search hooks
-    # ------------------------------------------------------------------
-    def run_to_boundary(self) -> int:
-        """Drain the continuation lane to the next hypothesis boundary.
 
-        Steps until the expansion in flight (its sketches, completion runs
-        and refinement fan-out) has fully drained, leaving only the
-        cost-ordered hypothesis lane pending -- the state
-        :meth:`Frontier.split` requires.  Returns the number of steps taken.
-        """
-        steps = 0
-        while self.frontier.has_continuations and len(self.solutions) < self.k:
-            self.step()
-            steps += 1
-        return steps
-
-    def _head_key(self, frontier: Frontier) -> Optional[tuple]:
-        """The ``(priority, rank)`` of *frontier*'s canonical head entry."""
-        entries = frontier.heap_entries()
-        if not entries:
-            return None
-        tiebreak, hypothesis = entries[0]
-        return (
-            frontier.priority(hypothesis),
-            self._ranks.get(hypothesis_signature(hypothesis), (0, tiebreak)),
-        )
-
-    def lower_bound(self) -> Optional[tuple]:
-        """The least ``(priority, rank)`` any future candidate here can carry.
-
-        Provenance keys strictly increase from parent to refinement, so the
-        key of the next state to pop -- the expansion in flight if one is
-        mid-drain, else the head of the canonical pending lane -- bounds
-        every program this kernel (or a unit resumed from its snapshot) can
-        still surface.  ``None`` means exhausted: no future candidate at
-        all.  The distributed scheduler uses this bound to decide which
-        units to run next and when the best merged candidate can no longer
-        be beaten by a residual unit.
-        """
-        if self._in_flight is not None and self.frontier.has_continuations:
-            hypothesis, tiebreak = self._in_flight
-            return (
-                self.frontier.priority(hypothesis),
-                self._ranks.get(hypothesis_signature(hypothesis), (0, tiebreak)),
-            )
-        return self._head_key(self.frontier)
-
-    def split_snapshots(self, parts: int) -> List[dict]:
-        """Partition the kernel's resume state into *parts* work units.
-
-        Each returned payload is a full, independently restorable
-        :meth:`snapshot` whose pending lane holds one cost-contiguous chunk
-        of this kernel's frontier (see :meth:`Frontier.split`); counters,
-        visited signatures and the found-program filter are shared by every
-        unit, so the union of the units explores exactly this kernel's
-        remaining search space with cross-unit duplicate suppression.  The
-        kernel must be at a hypothesis boundary (``run_to_boundary`` first);
-        a pending expansion raises ``ValueError`` via ``Frontier.split``.
-        """
-        base = self.snapshot()
-        payloads = []
-        for part in self.frontier.split(parts):
-            payload = dict(base)
-            payload["pending"] = self._encode_pending(part)
-            payload["in_flight"] = None
-            head = self._head_key(part)
-            payload["lower_bound"] = rank_to_json(head) if head is not None else None
-            payloads.append(payload)
-        return payloads
+def _encode_entry(hypothesis: Hypothesis, tiebreak: int) -> dict:
+    """One pending-lane snapshot entry."""
+    return {"tiebreak": tiebreak, "hypothesis": encode_hypothesis(hypothesis)}
 
 
 def hypothesis_signature(hypothesis: Hypothesis) -> str:

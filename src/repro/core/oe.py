@@ -95,15 +95,12 @@ class OEStore:
     candidates and merges in its ``CompletionStats`` (one source of truth).
     """
 
-    __slots__ = ("_representatives", "_imported")
+    __slots__ = ("_representatives",)
 
     def __init__(self) -> None:
         #: Keys whose representative (the first-admitted state) is being --
         #: or has been -- explored.
         self._representatives: Set[ObservationKey] = set()
-        #: Digests imported from a knowledge base (observability only --
-        #: :meth:`admit` never consults them; see :meth:`import_entries`).
-        self._imported: Set[str] = set()
 
     def __len__(self) -> int:
         return len(self._representatives)
@@ -149,28 +146,6 @@ class OEStore:
     def export_entries(self) -> List[str]:
         """The store's representatives as sorted digests (KB transport form)."""
         return sorted(encode_key(key) for key in self._representatives)
-
-    def import_entries(self, digests: Iterable[str]) -> int:
-        """Record digests exported by an earlier run; returns how many.
-
-        Imported digests are **never** consulted by :meth:`admit`: merging a
-        *fresh* search's state against a previous run's representative would
-        skip exploring it even though that run's solutions are not in this
-        frontier -- the soundness argument for merging does not transfer
-        across runs.  The imported set exists for observability (corpus
-        overlap metrics) and transport between stores only.
-        """
-        count = 0
-        for digest in digests:
-            if isinstance(digest, str):
-                self._imported.add(digest)
-                count += 1
-        return count
-
-    @property
-    def imported_digests(self) -> Set[str]:
-        """Digests previously imported via :meth:`import_entries`."""
-        return set(self._imported)
 
     # ------------------------------------------------------------------
     @staticmethod

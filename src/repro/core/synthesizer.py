@@ -118,18 +118,6 @@ class SynthesisConfig:
     #: identical -- same cells, fingerprints and error messages -- so this
     #: knob changes wall-clock time only, never the synthesized program.
     backend: str = "python"
-    #: Distribute one task's search over a process pool: the frontier is
-    #: split into cost-contiguous work units (``Frontier.split``) fanned out
-    #: by :class:`repro.engine.distributed.DistributedScheduler`.  The chosen
-    #: program is byte-identical to the serial run on every solved task; in
-    #: this mode the solve/timeout decision is a function of the
-    #: deterministic step budget (derived from ``timeout`` when ``max_steps``
-    #: is unset), never of the wall clock.
-    distributed: bool = False
-    #: Worker processes for the distributed scheduler (None = one per CPU).
-    #: Worker count never changes the chosen program or the deterministic
-    #: counters -- only wall-clock time.
-    workers: Optional[int] = None
 
     def describe(self) -> str:
         """Short human-readable description used by the benchmark reports."""
@@ -147,8 +135,6 @@ class SynthesisConfig:
                 name += "-no-oe"
         if self.backend != "python":
             name += f"-{self.backend}"
-        if self.distributed:
-            name += "-dist"
         return name
 
 

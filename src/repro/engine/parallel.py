@@ -35,6 +35,8 @@ budget cut the search.)
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 import time
 from collections import deque
@@ -52,21 +54,6 @@ from ..core.synthesizer import Example, Morpheus, SynthesisConfig, SynthesisResu
 from ..dataframe.profiling import reset_execution_state
 from ..smt.solver import clear_formula_cache
 from .context import TaskContext
-from .pool import (
-    default_job_count as default_job_count,  # re-exported (repro.engine)
-    init_worker_kb,
-    map_batched,
-    map_indexed,
-    pool_initializer,
-    resolve_jobs,
-)
-
-# Historical names, still imported by callers of this module (the benchmark
-# runner's suite harness and external scripts predate the shared pool module).
-_resolve_jobs = resolve_jobs
-_init_worker_kb = init_worker_kb
-_map_indexed = map_indexed
-_map_batched = map_batched
 
 #: A unit of benchmark work: (benchmark, configuration, label, library).
 BenchmarkPair = Tuple[Benchmark, SynthesisConfig, str, object]
@@ -79,6 +66,87 @@ DEFAULT_SLICE_STEPS = 64
 #: Batches dealt to each pool worker over a run (smaller batches improve
 #: progress granularity, larger ones improve interleaving fairness).
 BATCHES_PER_WORKER = 4
+
+
+# ----------------------------------------------------------------------
+# Worker-pool plumbing
+# ----------------------------------------------------------------------
+def default_job_count() -> int:
+    """Worker count used when ``jobs`` is not given (one per CPU)."""
+    return max(1, os.cpu_count() or 1)
+
+
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Validate an explicit worker count, or default to one per CPU."""
+    if jobs is None:
+        return default_job_count()
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return jobs
+
+
+def init_worker_kb(kb_path: str) -> None:
+    """Pool initializer: open this worker's own warm-start knowledge base.
+
+    sqlite connections must not cross ``fork``/``spawn`` boundaries, so each
+    worker process opens the shared file itself (WAL journaling arbitrates
+    the concurrent writers).  The handle is installed as the process default,
+    which freshly created :class:`~repro.engine.context.TaskContext` objects
+    inherit.
+    """
+    from .kb import KnowledgeBase, set_default_kb
+
+    set_default_kb(KnowledgeBase(kb_path))
+
+
+def map_indexed(
+    worker,
+    tasks: Sequence[tuple],
+    jobs: int,
+    start_method: Optional[str] = None,
+    on_result=None,
+    stop=None,
+    initializer=None,
+    initargs=(),
+) -> Dict[int, object]:
+    """Run *tasks* through *worker*, serially or over a pool.
+
+    Each worker call returns a list of ``(index, value)`` pairs (one pair
+    for a single task, several for a batch).  Results are collected into an
+    index-keyed dict so callers can restore input order regardless of
+    completion order.  ``on_result(index, value)`` fires in the parent as
+    results arrive; ``stop(index, value)`` returning true ends the run early
+    (remaining pool workers are terminated).
+    """
+    collected: Dict[int, object] = {}
+
+    def record(results) -> bool:
+        for index, value in results:
+            collected[index] = value
+            if on_result is not None:
+                on_result(index, value)
+            if stop is not None and stop(index, value):
+                return True
+        return False
+
+    if jobs == 1 or len(tasks) <= 1:
+        for task in tasks:
+            if record(worker(task)):
+                break
+        return collected
+    context = (
+        multiprocessing.get_context(start_method)
+        if start_method is not None
+        else multiprocessing
+    )
+    with context.Pool(
+        processes=min(jobs, len(tasks)), initializer=initializer, initargs=initargs
+    ) as pool:
+        for results in pool.imap_unordered(worker, tasks):
+            if record(results):
+                # Exiting the with-block terminates the remaining workers.
+                break
+    return collected
 
 
 def _coerce_example(example) -> Example:
@@ -304,7 +372,7 @@ def interleave_benchmarks(
 # ----------------------------------------------------------------------
 def _run_pair_task(task):
     index, benchmark, config, label, library = task
-    return index, run_benchmark(benchmark, config, library=library, label=label)
+    return [(index, run_benchmark(benchmark, config, library=library, label=label))]
 
 
 def _run_pair_batch(task):
@@ -323,7 +391,7 @@ def _synthesize_task(task):
     clear_formula_cache()
     reset_execution_state()
     result = Morpheus(library=library, config=config, _sanctioned=True).synthesize(example)
-    return index, result
+    return [(index, result)]
 
 
 def _synthesize_batch_task(task):
@@ -381,11 +449,7 @@ class ParallelRunner:
     kb_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.jobs = _resolve_jobs(self.jobs)
-
-    def _pool_initializer(self) -> tuple:
-        """The ``(initializer, initargs)`` pair for worker pools."""
-        return pool_initializer(self.kb_path)
+        self.jobs = resolve_jobs(self.jobs)
 
     # ------------------------------------------------------------------
     def map_benchmarks(
@@ -402,8 +466,9 @@ class ParallelRunner:
         together).
         """
         on_result = None if progress is None else (lambda _index, outcome: progress(outcome))
-        initializer, initargs = self._pool_initializer()
+        initializer, initargs = None, ()
         if self.kb_path is not None:
+            initializer, initargs = init_worker_kb, (self.kb_path,)
             # Serial runs (and pool-skipping fallbacks for tiny inputs)
             # execute in this process, where no initializer hook fires:
             # install the process-default KB here unless the caller (the
@@ -411,7 +476,7 @@ class ParallelRunner:
             from .kb import current_kb
 
             if current_kb() is None:
-                _init_worker_kb(self.kb_path)
+                init_worker_kb(self.kb_path)
         if self.interleave:
             if self.jobs == 1:
                 # One interleaver over everything: maximal fairness and
@@ -427,7 +492,7 @@ class ParallelRunner:
                 (indices, [pairs[index] for index in indices], self.slice_steps)
                 for indices in groups
             ]
-            collected = _map_batched(
+            collected = map_indexed(
                 _run_pair_batch, batch_tasks, self.jobs, self.start_method,
                 on_result=on_result, initializer=initializer, initargs=initargs,
             )
@@ -436,7 +501,7 @@ class ParallelRunner:
                 (index, benchmark, config, label, library)
                 for index, (benchmark, config, label, library) in enumerate(pairs)
             ]
-            collected = _map_indexed(
+            collected = map_indexed(
                 _run_pair_task, tasks, self.jobs, self.start_method,
                 on_result=on_result, initializer=initializer, initargs=initargs,
             )
@@ -511,7 +576,7 @@ def synthesize_batch(
     wall-clock timeout may time out when more workers run than there are
     CPU cores.
     """
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     config = config if config is not None else SynthesisConfig()
     coerced = [_coerce_example(example) for example in examples]
     if interleave:
@@ -527,13 +592,13 @@ def synthesize_batch(
             (indices, [coerced[index] for index in indices], config, library, slice_steps)
             for indices in groups
         ]
-        collected = _map_batched(_synthesize_batch_task, batch_tasks, jobs)
+        collected = map_indexed(_synthesize_batch_task, batch_tasks, jobs)
     else:
         tasks = [
             (index, example, config, library)
             for index, example in enumerate(coerced)
         ]
-        collected = _map_indexed(_synthesize_task, tasks, jobs)
+        collected = map_indexed(_synthesize_task, tasks, jobs)
     return [collected[index] for index in range(len(coerced))]
 
 
@@ -574,11 +639,11 @@ def synthesize_portfolio(
     configs = list(configs)
     if not configs:
         raise ValueError("synthesize_portfolio needs at least one configuration")
-    jobs = _resolve_jobs(jobs)
+    jobs = resolve_jobs(jobs)
     example = _coerce_example(example)
     tasks = [(index, example, config, library) for index, config in enumerate(configs)]
 
-    collected = _map_indexed(
+    collected = map_indexed(
         _synthesize_task, tasks, jobs,
         stop=lambda _index, result: result.solved,
     )

@@ -112,12 +112,7 @@ class ServiceSession:
         """One scheduler slice; ``True`` drops the session from the rotation.
 
         Called only by the scheduler thread, which holds the store's work
-        lock around the context-active kernel stepping.  For a distributed
-        configuration (``config.distributed``) the facade session runs the
-        *entire* burst -- warm-up, every scheduler round and the merge --
-        under this one work-lock acquisition, so co-scheduled sessions wait
-        for the whole drive rather than a 64-step slice; distributed
-        sessions are best run in a store of their own.  Leaving the
+        lock around the context-active kernel stepping.  Leaving the
         rotation and :meth:`SessionStore._enroll` are serialised on the
         registry lock: a concurrent ``add_example`` either resumes the
         session before the finished-check here (the task stays enrolled and
@@ -170,6 +165,11 @@ class ServiceSession:
                 self.changed.wait(0.1 if remaining is None else min(0.1, remaining))
 
 
+def _add_counters(totals: Dict[str, float], counters: Dict[str, float]) -> None:
+    for key, value in counters.items():
+        totals[key] = totals.get(key, 0) + value
+
+
 class SessionStore:
     """Registry + scheduler: the whole service state apart from HTTP plumbing.
 
@@ -218,6 +218,9 @@ class SessionStore:
         self._stop = threading.Event()
         self.sessions_created = 0
         self.sessions_expired = 0
+        #: Counters of expired sessions, folded in when the sweep deletes
+        #: them, so the ``*_total`` metrics never go down.
+        self._expired_counters: Dict[str, float] = {}
         self._scheduler = threading.Thread(
             target=self._schedule, name="synthesis-scheduler", daemon=True
         )
@@ -287,13 +290,13 @@ class SessionStore:
 
     # -- metrics -------------------------------------------------------
     def metrics(self) -> dict:
+        # One registry-lock hold: a session the sweep expires is either
+        # still registered here or already folded into the expired totals.
         with self._registry_lock:
-            sessions = list(self._sessions.values())
-        live = [s for s in sessions if not s.expired]
-        totals: Dict[str, float] = {}
-        for session in live:
-            for key, value in session.session.counters().items():
-                totals[key] = totals.get(key, 0) + value
+            live = list(self._sessions.values())
+            totals = dict(self._expired_counters)
+            for session in live:
+                _add_counters(totals, session.session.counters())
         steps = totals.get("steps", 0)
         smt = totals.get("smt_calls", 0)
         prescreen = totals.get("prescreen_decided", 0)
@@ -368,6 +371,7 @@ class SessionStore:
                 session.expired = True
                 self.sessions_expired += 1
                 del self._sessions[session.id]
+                _add_counters(self._expired_counters, session.session.counters())
         for session in stale:
             # An expired session is gone from every lookup path, so its
             # persistence file would be unreachable garbage: remove it

@@ -1,6 +1,10 @@
 """Tests for the explicit search frontier and the anytime search kernel."""
 
 import itertools
+import json
+from pathlib import Path
+
+import pytest
 
 from repro.core import Example, Morpheus, SynthesisConfig, standard_library
 from repro.core.cost import CostModel
@@ -25,6 +29,10 @@ COMPONENTS = {component.name: component for component in LIBRARY}
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
 ADULTS = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
+
+#: Snapshot of the STUDENTS -> ADULTS search after 3 steps, in the
+#: version-1 layout that also carried per-entry ranks and a lower bound.
+RANKED_SNAPSHOT = Path(__file__).with_name("snapshot_v1_ranked.json")
 
 
 def build_hypothesis(*names):
@@ -81,8 +89,6 @@ class TestHypothesisSerialisation:
         assert repr(restored) == repr(hypothesis)
 
     def test_roundtrip_is_json_compatible(self):
-        import json
-
         hypothesis = build_hypothesis("group_by", "summarise")
         payload = json.loads(json.dumps(encode_hypothesis(hypothesis)))
         restored = decode_hypothesis(payload, LIBRARY)
@@ -166,14 +172,25 @@ class TestSearchKernel:
         assert kernel.solved
         assert render_program(kernel.solutions[0]) == reference.render()
 
-    def test_snapshot_restore_resumes_to_the_same_program(self):
+    @pytest.mark.parametrize("source", ["live", "ranked"])
+    def test_snapshot_restore_resumes_to_the_same_program(self, source):
         morpheus = Morpheus(config=SynthesisConfig(timeout=20))
         reference = morpheus.synthesize(self.example())
 
-        kernel = morpheus.kernel(self.example())
-        kernel.run(max_steps=5)
-        assert not kernel.solved  # interrupted mid-search
-        payload = kernel.snapshot()
+        if source == "live":
+            kernel = morpheus.kernel(self.example())
+            kernel.run(max_steps=5)
+            assert not kernel.solved  # interrupted mid-search
+            payload = kernel.snapshot()
+        else:
+            # A version-1 payload as older writers produced it (3 steps in,
+            # expansion in flight): every pending entry carries a provenance
+            # "rank" and the payload an advisory lower bound.  Restore
+            # ignores both.
+            payload = json.loads(RANKED_SNAPSHOT.read_text())
+            assert payload["version"] == 1 and payload["lower_bound"]
+            assert all("rank" in entry for entry in payload["pending"])
+            assert "rank" in payload["in_flight"]
 
         from repro.core.frontier import SearchKernel
         from repro.core.synthesizer import SynthesisStats
@@ -216,6 +233,18 @@ class TestSearchKernel:
         assert len(set(combined)) == len(combined)
         assert combined == reference.render_all()
 
+    def test_snapshot_equals_the_ranked_payload_without_its_ranks(self):
+        # Dropping the rank bookkeeping changed nothing else the kernel
+        # writes: same search position, same entries, same order.
+        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
+        kernel = morpheus.kernel(self.example())
+        kernel.run(max_steps=3)
+        ranked = json.loads(RANKED_SNAPSHOT.read_text())
+        del ranked["lower_bound"]
+        for entry in ranked["pending"] + [ranked["in_flight"]]:
+            del entry["rank"]
+        assert json.loads(json.dumps(kernel.snapshot())) == ranked
+
     def test_snapshot_of_a_solved_kernel_restores_to_done(self):
         from repro.core.frontier import SearchKernel
         from repro.core.synthesizer import SynthesisStats
@@ -233,8 +262,6 @@ class TestSearchKernel:
         assert restored.solutions == []
 
     def test_snapshot_is_json_serialisable(self):
-        import json
-
         morpheus = Morpheus(config=SynthesisConfig(timeout=20))
         kernel = morpheus.kernel(self.example())
         kernel.run(max_steps=5)
@@ -294,8 +321,6 @@ class TestSnapshotValidation:
         return kernel.snapshot()
 
     def test_wrong_version_raises_typed_error(self):
-        import pytest
-
         from repro.core import SnapshotVersionError
 
         payload = self.snapshot()
@@ -304,8 +329,6 @@ class TestSnapshotValidation:
             self.restore(payload)
 
     def test_missing_version_raises_typed_error(self):
-        import pytest
-
         from repro.core import SnapshotVersionError
 
         payload = self.snapshot()
@@ -314,8 +337,6 @@ class TestSnapshotValidation:
             self.restore(payload)
 
     def test_missing_required_key_raises_typed_error_not_keyerror(self):
-        import pytest
-
         from repro.core import SnapshotVersionError
 
         for key in ("k", "tiebreak", "node_counter", "visited", "pending"):
@@ -325,16 +346,12 @@ class TestSnapshotValidation:
                 self.restore(payload)
 
     def test_non_dict_payload_raises_snapshot_error(self):
-        import pytest
-
         from repro.core import SnapshotError
 
         with pytest.raises(SnapshotError, match="dict"):
             self.restore([1, 2, 3])
 
     def test_malformed_pending_lane_raises_snapshot_error(self):
-        import pytest
-
         from repro.core import SnapshotError
 
         payload = self.snapshot()

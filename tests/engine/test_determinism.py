@@ -8,6 +8,8 @@ the conflict-driven engine adds.  ``elapsed`` is wall clock and necessarily
 excluded.
 """
 
+import copy
+
 from repro.baselines import FIGURE16_CONFIGS, spec2_no_cdcl_config
 from repro.benchmarks import r_benchmark_suite, run_suite
 from repro.engine import ParallelRunner
@@ -129,33 +131,33 @@ def test_jobs4_is_byte_identical_to_serial_without_prescreen():
     assert all(outcome.prescreen_decided == 0 for outcome in serial.outcomes)
 
 
-def test_distributed_timeout_is_a_function_of_the_step_budget():
-    # In distributed mode the solve/timeout decision is a pure function of
-    # the deterministic step budget (config.max_steps here), never of the
-    # wall clock: a task that cannot solve within the budget must report the
-    # same "timeout" status and the same step counter on every run and for
-    # every worker count, no matter how oversubscribed the host is.
+def test_step_budget_timeout_is_deterministic():
+    # With no wall clock (timeout=None) the solve/timeout decision is a pure
+    # function of the step budget: a task that cannot solve within it stops
+    # at exactly max_steps with status "timeout", and a repeat run reports
+    # the same steps and counters, no matter how loaded the host is.
     from repro.api import SynthesisRequest, solve
 
-    # Cheap per step, cannot solve within the budget, and fans out to a
-    # full multi-unit round (repeat-run identity at a fixed worker count is
-    # covered by tests/engine/test_distributed.py).
     task = r_benchmark_suite().get("c5_units_per_category")
 
-    def run(workers):
-        return solve(
+    def run():
+        # Fresh table objects per run: tables cache their own fingerprints,
+        # so reusing them would move fingerprint_hits between runs.
+        result = solve(
             SynthesisRequest.from_tables(
-                task.inputs, task.output,
-                timeout=None, max_steps=2500, distributed=True, workers=workers,
+                copy.deepcopy(task.inputs), copy.deepcopy(task.output),
+                timeout=None, max_steps=2500,
             )
         )
+        counters = dict(result.counters)
+        del counters["active_seconds"]  # a timing, not a counter of work
+        return result, counters
 
-    one, two = run(1), run(2)
-    assert [r.status for r in (one, two)] == ["timeout", "timeout"]
-    assert not one.solved
-    assert one.counters["steps"] == two.counters["steps"]
-    # The budget cut happened inside the distributed rounds, not the warm-up.
-    assert one.counters["steps"] > 2500
+    (first, first_counters), (second, second_counters) = run(), run()
+    assert first.status == second.status == "timeout"
+    assert not first.solved
+    assert first.counters["steps"] == second.counters["steps"] == 2500
+    assert second_counters == first_counters
 
 
 def test_cdcl_and_ablation_agree_on_programs_across_schedulers():

@@ -324,10 +324,7 @@ class TestLemmaAndOETransport:
         assert exporter.admit(key) is True
         digests = exporter.export_entries()
         assert digests == [encode_key(key)]
-        importer = OEStore()
-        assert importer.import_entries(digests) == 1
-        assert importer.imported_digests == set(digests)
-        # Imported digests are transport/observability only: a fresh search
-        # must still explore the state (the old run's solutions are not in
-        # this run's frontier, so merging against them would be unsound).
-        assert importer.admit(key) is True
+        # Exported digests are observability only: a fresh search must
+        # still explore the state (the old run's solutions are not in this
+        # run's frontier, so merging against them would be unsound).
+        assert OEStore().admit(key) is True

@@ -118,6 +118,19 @@ class TestEndpoints:
         assert status == 400
         assert "error" in body
 
+    @pytest.mark.parametrize(
+        "knobs", [{"distributed": True}, {"workers": 2}], ids=["distributed", "workers"]
+    )
+    def test_removed_config_knobs_are_400(self, server, knobs):
+        # Not config knobs (any more): a request naming them is rejected,
+        # never silently ignored.
+        payload = dict(FILTER_REQUEST, config={"timeout": 20, **knobs})
+        status, body = post(server, "/v1/sessions", payload)
+        assert status == 400
+        assert "unknown config knobs" in body["error"]
+        _, metrics = get(server, "/metrics")
+        assert metrics["sessions_created_total"] == 0
+
     def test_invalid_json_body_is_400(self, server):
         request = urllib.request.Request(
             base_url(server) + "/v1/sessions",

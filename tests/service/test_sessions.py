@@ -189,6 +189,26 @@ class TestTTL:
         finally:
             store.close()
 
+    def test_expiry_never_lowers_total_counters(self):
+        # Expiry deletes the session; its work must stay in the *_total
+        # metrics, which are cumulative.
+        store = SessionStore(ttl=None, rate=1000, burst=1000)
+        try:
+            session = store.create(filter_request())
+            assert wait_until(lambda: session.session.finished)
+            before = store.metrics()
+            assert before["kernel_steps_total"] > 0
+            store.ttl = 0.05
+            assert wait_until(lambda: session.expired, timeout=10.0)
+            after = store.metrics()
+            assert after["sessions_live"] == 0
+            totals = [key for key in before if key.endswith("_total")]
+            assert "smt_calls_total" in totals and "resumes_total" in totals
+            for key in totals:
+                assert after[key] >= before[key], key
+            assert after["kernel_steps_total"] == before["kernel_steps_total"]
+        finally:
+            store.close()
 
     def test_expiry_deletes_the_persisted_file(self, tmp_path):
         # The TTL sweep used to drop expired sessions from memory but leave
