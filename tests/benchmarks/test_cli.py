@@ -1,4 +1,5 @@
-"""CLI surface tests: the help text advertises every entry point."""
+"""CLI surface tests: the help text advertises every entry point, and removed
+flags are rejected rather than ignored."""
 
 import contextlib
 import io
@@ -31,3 +32,15 @@ class TestHelp:
         help_text = render_help()
         for figure in ("figure16", "figure17", "figure18", "pruning"):
             assert figure in help_text, figure
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["figure16", "--backend", "numpy"], ["--stress"]],
+    ids=["backend", "stress"],
+)
+def test_removed_flags_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

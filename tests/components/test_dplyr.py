@@ -139,6 +139,27 @@ class TestMutate:
         with pytest.raises(EvaluationError):
             mutate(table, "a", lambda row, group: 1)
 
+    @pytest.mark.parametrize("grouped", [False, True], ids=["ungrouped", "grouped"])
+    def test_one_group_context_per_group(self, monkeypatch, grouped):
+        # One context per group: a context per row would make mutate
+        # quadratic in the row count.
+        from repro.components import dplyr
+
+        built = []
+
+        class CountingGroupContext(dplyr.GroupContext):
+            def __init__(self, table, row_indices):
+                built.append(len(row_indices))
+                super().__init__(table, row_indices)
+
+        monkeypatch.setattr(dplyr, "GroupContext", CountingGroupContext)
+        table = Table(["g", "v"], [[index % 3, index] for index in range(50)])
+        if grouped:
+            table = group_by(table, ["g"])
+        mutate(table, "w", lambda row, group: group.size)
+        assert len(built) == table.n_groups
+        assert sum(built) == table.n_rows
+
 
 class TestInnerJoin:
     def test_natural_join(self):

@@ -119,7 +119,9 @@ class TestEndpoints:
         assert "error" in body
 
     @pytest.mark.parametrize(
-        "knobs", [{"distributed": True}, {"workers": 2}], ids=["distributed", "workers"]
+        "knobs",
+        [{"distributed": True}, {"workers": 2}, {"backend": "numpy"}, {"backend": "python"}],
+        ids=["distributed", "workers", "backend-numpy", "backend-python"],
     )
     def test_removed_config_knobs_are_400(self, server, knobs):
         # Not config knobs (any more): a request naming them is rejected,
