@@ -21,28 +21,19 @@ dataclasses are the wire format of the HTTP service (:mod:`repro.service`).
 
 from .core import (
     Example,
-    Morpheus,
     SpecLevel,
     SynthesisConfig,
     SynthesisResult,
     sql_library,
     standard_library,
-    synthesize,
 )
 from .dataframe import Table, tables_equivalent, tables_match_for_synthesis
 
 __version__ = "1.1.0"
 
-#: Parallel/caching APIs re-exported lazily from :mod:`repro.engine` (the
-#: engine imports the synthesizer, so an eager import here would be circular).
-_ENGINE_EXPORTS = frozenset(
-    {
-        "ParallelRunner",
-        "PortfolioResult",
-        "synthesize_batch",
-        "synthesize_portfolio",
-    }
-)
+#: Parallel APIs re-exported lazily from :mod:`repro.engine` (the engine
+#: imports the facade, so an eager import here would be circular).
+_ENGINE_EXPORTS = frozenset({"ParallelRunner"})
 
 #: Facade APIs re-exported lazily from :mod:`repro.api` (same circularity:
 #: the facade imports the synthesizer and the engine context).
@@ -54,15 +45,14 @@ _API_EXPORTS = frozenset(
         "SynthesisSession",
         "create_session",
         "solve",
+        "synthesize",
     }
 )
 
 __all__ = [
     "CandidateProgram",
     "Example",
-    "Morpheus",
     "ParallelRunner",
-    "PortfolioResult",
     "SessionState",
     "SpecLevel",
     "SynthesisConfig",
@@ -76,8 +66,6 @@ __all__ = [
     "sql_library",
     "standard_library",
     "synthesize",
-    "synthesize_batch",
-    "synthesize_portfolio",
     "tables_equivalent",
     "tables_match_for_synthesis",
 ]

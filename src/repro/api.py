@@ -1,9 +1,9 @@
 """The sanctioned public facade of the synthesizer.
 
 Every consumer-facing path -- the HTTP service (:mod:`repro.service`), the
-benchmark runner (:mod:`repro.benchmarks.runner`) and the example scripts --
-goes through this module instead of constructing :class:`repro.core.Morpheus`
-directly.  The facade owns three things:
+benchmark runner (:mod:`repro.benchmarks.runner`), the interleaved
+scheduler (:mod:`repro.engine.parallel`) and the example scripts -- goes
+through this module.  The facade owns three things:
 
 * **Typed request/response dataclasses** with ``to_json()``/``from_json()``
   (:class:`SynthesisRequest`, :class:`SynthesisResult`,
@@ -14,9 +14,12 @@ directly.  The facade owns three things:
   slices, streamed for candidates, *suspended and resumed* when the caller
   adds a distinguishing example -- the frontier position, the
   observational-equivalence store and every search counter carry over
-  instead of restarting.
-* **One-shot solving** (:func:`solve`), the request-in/result-out wrapper
-  both the CLI-free quickstart path and the service's synchronous mode use.
+  instead of restarting.  The session is the only code that steps a
+  :class:`~repro.core.frontier.SearchKernel`: :meth:`SynthesisSession.advance`
+  and :meth:`SynthesisSession.solve` both run the same budgeted slice.
+* **One-shot solving** (:func:`solve`, and :func:`synthesize` for callers
+  that want the stats-rich core result), the wrappers both the CLI-free
+  quickstart path and the service's synchronous mode use.
 
 Multi-example semantics
 -----------------------
@@ -50,12 +53,7 @@ from .core.hypothesis import (
     render_program,
 )
 from .core.library import sql_library, standard_library
-from .core.synthesizer import (
-    Example,
-    Morpheus,
-    SynthesisConfig,
-    SynthesisStats,
-)
+from .core.synthesizer import Example, SynthesisConfig, SynthesisStats
 from .core.synthesizer import SynthesisResult as CoreSynthesisResult
 from .dataframe.cells import CellType
 from .dataframe.compare import tables_match_for_synthesis
@@ -79,7 +77,10 @@ LIBRARIES = {
 }
 
 #: Kernel steps per scheduling slice when a session is advanced without an
-#: explicit ``max_steps`` (matches the engine's interleaving default).
+#: explicit ``max_steps``, and per round-robin slot of the interleaver and
+#: the service scheduler.  Small enough that no session monopolises its
+#: scheduler for long (one step is at most one deduction query), large
+#: enough that context switches stay noise.
 DEFAULT_SLICE_STEPS = 64
 
 
@@ -404,21 +405,27 @@ class SynthesisSession:
         self._frontier_peak = 0
         self._resumes = 0
         with self.context.active():
-            self._morpheus = Morpheus(
-                library=library if library is not None else request.component_library(),
-                config=request.config,
-                _sanctioned=True,
+            self._library = (
+                library if library is not None else request.component_library()
             )
             started = time.perf_counter()
             self._kernel = SearchKernel(
                 self._examples[0],
-                self._morpheus.config,
-                self._morpheus.library,
-                self._morpheus.cost_model,
+                request.config,
+                self._library,
                 self._stats,
                 k=self._target,
             )
             self._kernel.active_seconds += time.perf_counter() - started
+        # The counter windows of the core result, taken once, *after* the
+        # first kernel's construction: the example-table fingerprinting the
+        # constructor performs -- whose hit/miss split depends on whether the
+        # (process-cached) example tables were fingerprinted by an earlier
+        # run -- stays outside the window, which keeps the counters
+        # byte-identical across schedulers and repeat runs.  Resumed kernels
+        # count inside the same window.
+        self._solver_cache_baseline = self.context.formula_cache.stats.snapshot()
+        self._execution_baseline = self.context.execution.snapshot()
 
     # ------------------------------------------------------------------
     @property
@@ -457,29 +464,44 @@ class SynthesisSession:
         """How many times the frontier was suspended and restored."""
         return self._resumes
 
+    @property
+    def frontier_peak(self) -> int:
+        """Peak number of pending frontier states (across resumes)."""
+        return max(self._frontier_peak, self._kernel.frontier.peak)
+
     # ------------------------------------------------------------------
     def advance(self, max_steps: int = DEFAULT_SLICE_STEPS) -> bool:
         """Run one bounded scheduling slice; True when the session finished.
 
         The per-session budget (``config.timeout``) is charged against
-        *active* time -- the seconds this session's own steps consumed --
-        exactly like interleaved benchmark tasks, so many sessions sharing
-        one scheduler neither starve nor subsidise one another.
+        *active* time -- the seconds this session's own steps consumed -- so
+        many sessions sharing one scheduler neither starve nor subsidise one
+        another.
         """
-        if self.finished:
-            return True
-        with self.context.active():
-            budget = self.request.config.timeout
-            remaining = None if budget is None else budget - self.active_seconds
-            step_budget = self.request.config.max_steps
-            if step_budget is not None:
-                max_steps = min(max_steps, step_budget - self.steps)
-            if (remaining is None or remaining > 0) and max_steps > 0:
-                deadline = None if remaining is None else time.monotonic() + remaining
-                self._kernel.run(deadline=deadline, max_steps=max_steps)
-            self._drain()
-            self._update_status()
+        if not self.finished:
+            with self.context.active():
+                self._run_slice(max_steps)
         return self.finished
+
+    def _run_slice(self, max_steps: Optional[int]) -> None:
+        """Step the kernel for at most *max_steps* steps within the budgets.
+
+        The one place a kernel is stepped.  ``config.max_steps`` is charged
+        against the session's steps and ``config.timeout`` against its
+        active seconds, both across resumes; ``max_steps=None`` runs until
+        the kernel stops on its own (quota, exhaustion or a budget).  Must
+        be called with the session's context active.
+        """
+        config = self.request.config
+        remaining = None if config.timeout is None else config.timeout - self.active_seconds
+        if config.max_steps is not None:
+            steps_left = config.max_steps - self.steps
+            max_steps = steps_left if max_steps is None else min(max_steps, steps_left)
+        if (remaining is None or remaining > 0) and (max_steps is None or max_steps > 0):
+            deadline = None if remaining is None else time.monotonic() + remaining
+            self._kernel.run(deadline=deadline, max_steps=max_steps)
+        self._drain()
+        self._update_status()
 
     def _update_status(self) -> None:
         budget = self.request.config.timeout
@@ -571,9 +593,8 @@ class SynthesisSession:
             self._kernel = SearchKernel.restore(
                 payload,
                 self._examples[0],
-                self._morpheus.config,
-                self._morpheus.library,
-                self._morpheus.cost_model,
+                self.request.config,
+                self._library,
                 self._stats,
                 oe_store=kernel.oe_store,
             )
@@ -608,12 +629,11 @@ class SynthesisSession:
         """The session's cumulative (resume-surviving) search counters."""
         stats = self._stats
         execution = self.context.execution
-        kernel = self._kernel
         return {
             "steps": self.steps,
             "resumes": self._resumes,
             "active_seconds": round(self.active_seconds, 6),
-            "frontier_peak": max(self._frontier_peak, kernel.frontier.peak),
+            "frontier_peak": self.frontier_peak,
             "hypotheses_expanded": stats.hypotheses_expanded,
             "hypotheses_enqueued": stats.hypotheses_enqueued,
             "sketches_generated": stats.sketches_generated,
@@ -661,51 +681,52 @@ class SynthesisSession:
     def solve(self) -> CoreSynthesisResult:
         """Drive the session to completion; return the stats-rich core result.
 
-        Single-example sessions reproduce ``Morpheus.synthesize`` exactly
-        (same wall-clock deadline handling, same counter windows -- the
-        benchmark harness diffs these byte-for-byte across schedulers);
-        multi-example sessions keep searching until a candidate passes every
-        example or the budget expires.
+        Runs the same budgeted slice as :meth:`advance`, with no slice cap,
+        so a single-example session makes one ``kernel.run`` call per quota
+        top-up; multi-example sessions keep searching until a candidate
+        passes every example or a budget is spent.  The result's
+        ``elapsed`` is this call's wall-clock time.
         """
         started = time.monotonic()
-        timeout = self.request.config.timeout
-        deadline = started + timeout if timeout is not None else None
-        step_budget = self.request.config.max_steps
         with self.context.active():
-            while True:
-                remaining_steps = (
-                    None if step_budget is None else step_budget - self.steps
-                )
-                if remaining_steps is not None and remaining_steps <= 0:
-                    break
-                self._kernel.run(deadline=deadline, max_steps=remaining_steps)
-                self._drain()
-                if self.validated_count >= self._target or self._kernel.exhausted:
-                    break
-                if deadline is not None and time.monotonic() > deadline:
-                    break
-                if step_budget is not None and self.steps >= step_budget:
-                    break
-            self._update_status()
-            if self.status == STATUS_SEARCHING:
-                # The only way out of the loop while still searching is the
-                # wall-clock deadline (active time may lag wall time).
-                self.status = STATUS_TIMEOUT
-            result = self._morpheus.finalize(
-                self._kernel, elapsed=time.monotonic() - started
-            )
-        if len(self._examples) > 1:
-            # The core result reports programs consistent with *every*
-            # example, not just the primary one the kernel enumerates on.
-            validated = [
-                program
-                for candidate, program in zip(self._candidates, self._programs)
-                if candidate.validated
-            ]
-            result.programs = validated
-            result.program = validated[0] if validated else None
-            result.solved = bool(validated)
-        return result
+            while not self.finished:
+                self._run_slice(None)
+        return self.finalize(elapsed=time.monotonic() - started)
+
+    def finalize(self, elapsed: Optional[float] = None) -> CoreSynthesisResult:
+        """Package the session's search into a core :class:`SynthesisResult`.
+
+        The counters are the session's windows (see ``__init__``), identical
+        whether the session ran standalone, in slices or interleaved with
+        others.  Without *elapsed* the result reports active seconds.  The
+        run's task-scoped facts (mined lemmas, OE representatives) are
+        flushed to the attached knowledge base, if any.
+        """
+        stats = self._stats
+        stats.frontier_peak = self.frontier_peak
+        stats.solver_cache = self.context.formula_cache.stats.snapshot().since(
+            self._solver_cache_baseline
+        )
+        stats.execution = self.context.execution.snapshot().since(
+            self._execution_baseline
+        )
+        with self.context.active():
+            self._kernel.export_kb_facts()
+        # The core result reports programs consistent with *every* example,
+        # not just the primary one the kernel enumerates on.
+        programs = [
+            program
+            for candidate, program in zip(self._candidates, self._programs)
+            if candidate.validated
+        ]
+        return CoreSynthesisResult(
+            solved=bool(programs),
+            program=programs[0] if programs else None,
+            elapsed=elapsed if elapsed is not None else self.active_seconds,
+            stats=stats,
+            config=self.request.config,
+            programs=programs,
+        )
 
 
 def create_session(
@@ -728,3 +749,21 @@ def solve(request: SynthesisRequest, library=None, kb=None) -> SynthesisResult:
     result = session.result()
     # ``solve`` ran under a wall clock, which is the elapsed callers expect.
     return replace(result, elapsed=core.elapsed)
+
+
+def synthesize(
+    inputs: Sequence[Table],
+    output: Table,
+    library=None,
+    config: Optional[SynthesisConfig] = None,
+    k: Optional[int] = None,
+) -> CoreSynthesisResult:
+    """One-call convenience API: synthesize (up to *k*) programs for one example.
+
+    Returns the stats-rich core result; *k* overrides ``config.top_k``.
+    """
+    config = config if config is not None else SynthesisConfig()
+    if k is not None:
+        config = replace(config, top_k=k)
+    request = SynthesisRequest.from_tables(inputs, output, config=config)
+    return create_session(request, library=library).solve()

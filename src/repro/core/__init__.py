@@ -2,8 +2,9 @@
 
 Public entry points:
 
-* :func:`repro.core.synthesize` / :class:`repro.core.Morpheus` -- synthesize a
-  table transformation program from an input-output example.
+* :class:`repro.core.SearchKernel` -- the anytime search of Algorithm 1
+  (driven by :class:`repro.api.SynthesisSession`; :func:`repro.synthesize`
+  is the one-call wrapper).
 * :class:`repro.core.SynthesisConfig` -- ablation knobs (deduction, Spec 1 vs
   Spec 2, partial evaluation, cost model).
 * :func:`repro.core.standard_library` -- the tidyr/dplyr component set.
@@ -45,11 +46,9 @@ from .propagation import ground_check, prescreen_infeasible
 from .specs import SPECIFICATIONS, TRANSFERS
 from .synthesizer import (
     Example,
-    Morpheus,
     SynthesisConfig,
     SynthesisResult,
     SynthesisStats,
-    synthesize,
 )
 from .types import Type
 
@@ -69,7 +68,6 @@ __all__ = [
     "Frontier",
     "Hole",
     "Hypothesis",
-    "Morpheus",
     "MutationExpr",
     "NGramModel",
     "OEStore",
@@ -105,6 +103,4 @@ __all__ = [
     "sketches",
     "sql_library",
     "standard_library",
-    "synthesize",
-    "Type",
 ]

@@ -1,7 +1,7 @@
 """The explicit search frontier and the anytime search kernel.
 
 Algorithm 1 of the paper interleaves hypothesis ranking, sketch completion
-and checking in one recursive loop; the original ``Morpheus.synthesize``
+and checking in one recursive loop; the original implementation here
 reproduced that shape, so the enumeration state was implicit in the Python
 call stack -- it could not be paused, resumed, interleaved fairly across
 tasks, or deduplicated across sketches.  This module makes that state
@@ -18,9 +18,11 @@ explicit:
 * :class:`SearchKernel` -- the anytime search engine: ``step()`` processes
   one frontier state (at most one deduction query or one candidate hole
   filling), ``run(deadline)`` steps until a deadline, a solution quota, or
-  exhaustion.  Kernels are cheap to hold suspended: a service can run many
-  of them round-robin (see :class:`repro.engine.parallel.KernelInterleaver`)
-  and a suspended kernel serialises its resume state with
+  exhaustion.  Exactly one driver steps a kernel:
+  :class:`repro.api.SynthesisSession`, which charges the configured step
+  and time budgets and which :class:`repro.engine.parallel.KernelInterleaver`
+  runs round-robin with other sessions.  Kernels are cheap to hold
+  suspended, and a suspended kernel serialises its resume state with
   :meth:`SearchKernel.snapshot`.
 
 Resume-state contract
@@ -50,14 +52,13 @@ from ..components.errors import PRUNABLE_ERRORS
 from ..dataframe.compare import tables_match_for_synthesis
 from ..dataframe.profiling import execution_stats
 from ..engine.kb import current_kb
-from ..smt.solver import formula_cache_stats
 from .completion import (
     CompletionBudgetExceeded,
     CompletionRun,
     CompletionTimeout,
     SketchCompleter,
 )
-from .cost import CostModel
+from .cost import CostModel, UniformCostModel
 from .deduction import DeductionEngine
 from .hypothesis import (
     Apply,
@@ -276,7 +277,6 @@ class SearchKernel:
         example,
         config,
         library,
-        cost_model: CostModel,
         stats,
         k: int = 1,
     ) -> None:
@@ -311,7 +311,9 @@ class SearchKernel:
             stats=stats.completion,
             oe_store=self.oe_store,
         )
-        self.frontier = Frontier(cost_model)
+        model_type = CostModel if config.ngram_ranking else UniformCostModel
+        self.cost_model: CostModel = model_type(size_weight=config.size_weight)
+        self.frontier = Frontier(self.cost_model)
         self.solutions: List[Hypothesis] = []
         #: Rendered programs a pre-restore kernel already found: re-finding
         #: one (the re-expanded in-flight hypothesis repeats its completion
@@ -333,15 +335,6 @@ class SearchKernel:
         #: long-lived callers accumulate across kernels themselves.
         self.steps_taken = 0
         self._push(initial_hypothesis())
-        # Baselines for slicing the process-wide counters: taken *after* the
-        # engine construction above, so the example-table fingerprinting the
-        # constructor performs -- whose hit/miss split depends on whether the
-        # (process-cached) example tables were fingerprinted by an earlier
-        # run -- stays outside this run's counting window.  That exclusion
-        # is what keeps the per-run execution counters byte-identical across
-        # schedulers and repeat runs.
-        self.solver_cache_baseline = formula_cache_stats().snapshot()
-        self.execution_baseline = execution_stats().snapshot()
 
     # ------------------------------------------------------------------
     @property
@@ -610,7 +603,6 @@ class SearchKernel:
         example,
         config,
         library,
-        cost_model: CostModel,
         stats,
         oe_store: Optional[OEStore] = None,
     ) -> "SearchKernel":
@@ -648,13 +640,13 @@ class SearchKernel:
                 f"snapshot is missing required keys {missing} (stale or corrupt payload)"
             )
         remaining = payload.get("k", 1)
-        kernel = cls(example, config, library, cost_model, stats, k=max(1, remaining))
+        kernel = cls(example, config, library, stats, k=max(1, remaining))
         # A snapshot taken after the quota was met stores a remaining quota
         # of 0: the restored kernel is immediately done rather than hunting
         # for an extra, unrequested program.
         kernel.k = remaining
         # Drop the fresh initial state; the snapshot holds the real frontier.
-        kernel.frontier = Frontier(cost_model)
+        kernel.frontier = Frontier(kernel.cost_model)
         kernel._visited = set(payload["visited"])
         kernel._tiebreak = payload["tiebreak"]
         kernel._node_counter = payload["node_counter"]

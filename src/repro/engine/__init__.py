@@ -8,17 +8,14 @@ Three layers live here:
 * :mod:`repro.engine.context` -- :class:`TaskContext`, the per-task bundle
   of swappable process-wide state (intern pool, execution counters, formula
   cache) that keeps interleaved kernels byte-identical to dedicated runs.
-* :mod:`repro.engine.parallel` -- scheduling drivers: a
-  :class:`KernelInterleaver` that steps many search kernels round-robin in
-  one process, a :class:`ParallelRunner` that fans benchmark x
-  configuration pairs over a ``multiprocessing`` pool (each worker
-  interleaving its batch), :func:`synthesize_batch` for serving many
-  examples concurrently, and :func:`synthesize_portfolio` for racing
-  several configurations on one example.
+* :mod:`repro.engine.parallel` -- scheduling: a :class:`KernelInterleaver`
+  that steps many synthesis sessions round-robin in one process, and a
+  :class:`ParallelRunner` that fans benchmark x configuration pairs over a
+  ``multiprocessing`` pool (each worker interleaving its batch).
 
 The parallel and context layers are imported lazily: :mod:`repro.core` and
 :mod:`repro.smt.solver` import the cache primitives from this package, while
-:mod:`repro.engine.parallel` imports the synthesizer and
+:mod:`repro.engine.parallel` imports the facade and
 :mod:`repro.engine.context` imports the solver, so an eager import here
 would be circular.
 """
@@ -29,11 +26,8 @@ _PARALLEL_EXPORTS = frozenset(
     {
         "KernelInterleaver",
         "ParallelRunner",
-        "PortfolioResult",
         "default_job_count",
         "interleave_benchmarks",
-        "synthesize_batch",
-        "synthesize_portfolio",
     }
 )
 

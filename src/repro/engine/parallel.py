@@ -2,9 +2,10 @@
 
 Two scheduling layers live here:
 
-* :class:`KernelInterleaver` -- cooperative, single-process scheduling: one
-  :class:`~repro.core.frontier.SearchKernel` per task, stepped round-robin
-  in bounded slices.  Each kernel runs inside its own
+* :class:`KernelInterleaver` -- cooperative, single-process scheduling of
+  drivers: objects with ``advance(max_steps) -> bool``, in practice
+  :class:`~repro.api.SynthesisSession` objects, stepped round-robin in
+  bounded slices.  Each session runs inside its own
   :class:`~repro.engine.context.TaskContext` (private intern pool, formula
   cache and execution counters) and is charged *active* time only, so its
   search -- programs **and** counters -- is byte-identical to a dedicated
@@ -12,14 +13,8 @@ Two scheduling layers live here:
   a slow one.
 * :class:`ParallelRunner` -- process-level fan-out: benchmark x
   configuration pairs are split into batches, each worker process
-  interleaves the kernels of its batch.  ``--jobs N`` therefore interleaves
-  kernel steps instead of whole tasks; ``interleave=False`` restores the
-  one-task-at-a-time workers.
-
-:func:`synthesize_batch` serves many input-output examples concurrently and
-returns the results in input order; :func:`synthesize_portfolio` races
-several configurations on one example and returns as soon as any of them
-finds a program.
+  interleaves the sessions of its batch.  ``--jobs N`` therefore interleaves
+  kernel steps instead of whole tasks.
 
 Workers are plain top-level functions so they pickle under every start
 method.  Conflict-driven lemma state never crosses task boundaries: lemmas
@@ -27,10 +22,9 @@ rest on one example's formulas and live on the per-kernel deduction engine,
 so every task mines its own lemmas from scratch and a ``--jobs N`` suite run
 is bit-identical to the serial one -- including the lemma-prune, SMT-call,
 OE-merge and frontier counters on each outcome.  (The one timing-sensitive
-edge, unchanged from whole-task scheduling: a task whose solve time
-approaches the per-task budget may flip to a timeout when workers
-oversubscribe the CPUs, and a timed-out task's counters depend on where the
-budget cut the search.)
+edge: a task whose solve time approaches the per-task budget may flip to a
+timeout when workers oversubscribe the CPUs, and a timed-out task's counters
+depend on where the budget cut the search.)
 """
 
 from __future__ import annotations
@@ -38,30 +32,17 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..benchmarks.runner import (
-    BenchmarkOutcome,
-    SuiteRun,
-    outcome_from_result,
-    run_benchmark,
-)
+from ..api import DEFAULT_SLICE_STEPS, SynthesisRequest, create_session
+from ..benchmarks.runner import BenchmarkOutcome, SuiteRun, outcome_from_result
 from ..benchmarks.suite import Benchmark, BenchmarkSuite
-from ..core.synthesizer import Example, Morpheus, SynthesisConfig, SynthesisResult
-from ..dataframe.profiling import reset_execution_state
-from ..smt.solver import clear_formula_cache
-from .context import TaskContext
+from ..core.synthesizer import SynthesisConfig
 
 #: A unit of benchmark work: (benchmark, configuration, label, library).
 BenchmarkPair = Tuple[Benchmark, SynthesisConfig, str, object]
-
-#: Kernel steps one interleaved task runs before yielding to the next.
-#: Small enough that no task monopolises its worker for long (one step is at
-#: most one deduction query), large enough that context switches stay noise.
-DEFAULT_SLICE_STEPS = 64
 
 #: Batches dealt to each pool worker over a run (smaller batches improve
 #: progress granularity, larger ones improve interleaving fairness).
@@ -103,9 +84,7 @@ def map_indexed(
     worker,
     tasks: Sequence[tuple],
     jobs: int,
-    start_method: Optional[str] = None,
     on_result=None,
-    stop=None,
     initializer=None,
     initargs=(),
 ) -> Dict[int, object]:
@@ -115,155 +94,77 @@ def map_indexed(
     for a single task, several for a batch).  Results are collected into an
     index-keyed dict so callers can restore input order regardless of
     completion order.  ``on_result(index, value)`` fires in the parent as
-    results arrive; ``stop(index, value)`` returning true ends the run early
-    (remaining pool workers are terminated).
+    results arrive.
     """
     collected: Dict[int, object] = {}
 
-    def record(results) -> bool:
+    def record(results) -> None:
         for index, value in results:
             collected[index] = value
             if on_result is not None:
                 on_result(index, value)
-            if stop is not None and stop(index, value):
-                return True
-        return False
 
     if jobs == 1 or len(tasks) <= 1:
         for task in tasks:
-            if record(worker(task)):
-                break
+            record(worker(task))
         return collected
-    context = (
-        multiprocessing.get_context(start_method)
-        if start_method is not None
-        else multiprocessing
-    )
-    with context.Pool(
+    with multiprocessing.Pool(
         processes=min(jobs, len(tasks)), initializer=initializer, initargs=initargs
     ) as pool:
         for results in pool.imap_unordered(worker, tasks):
-            if record(results):
-                # Exiting the with-block terminates the remaining workers.
-                break
+            record(results)
     return collected
 
 
-def _coerce_example(example) -> Example:
-    if isinstance(example, Example):
-        return example
-    inputs, output = example
-    return Example.make(inputs, output)
-
-
 # ----------------------------------------------------------------------
-# KernelInterleaver: cooperative stepping of many kernels in one process
+# KernelInterleaver: cooperative stepping of many sessions in one process
 # ----------------------------------------------------------------------
-@dataclass
-class _InterleavedTask:
-    """One kernel's scheduling state inside the interleaver."""
-
-    index: int
-    example: Optional[Example] = None
-    morpheus: Optional[Morpheus] = None
-    context: TaskContext = field(default_factory=TaskContext)
-    kernel: object = None
-    result: Optional[SynthesisResult] = None
-    #: Externally managed task: any object with ``advance(max_steps) -> bool``
-    #: (True when finished).  The driver owns its own kernel, context and
-    #: budget accounting; the interleaver only provides the round-robin slot.
-    driver: object = None
-
-
 class KernelInterleaver:
-    """Steps many search kernels round-robin inside one process.
+    """Steps many drivers round-robin inside one process.
 
-    Tasks are added with :meth:`add` and driven by :meth:`run` -- or, for
+    A driver is any object with ``advance(max_steps) -> bool`` returning
+    ``True`` when its task is finished -- a
+    :class:`~repro.api.SynthesisSession`, or the service's session wrapper.
+    The driver owns its kernel, context and budget accounting; the
+    interleaver contributes only the fair round-robin slicing.  Drivers are
+    added with :meth:`add_driver` and driven by :meth:`run` -- or, for
     long-lived callers like the synthesis service, by repeated :meth:`pump`
-    calls: one round-robin pass per call, with new tasks allowed to join the
-    rotation at any time (``add``/``add_driver`` are safe to call from other
-    threads while one thread pumps).  Each task's kernel is constructed,
-    stepped and finalised inside that task's :class:`TaskContext`, and its
-    per-task wall-clock budget (``config.timeout``) is charged against
-    *active* time -- the seconds its own steps consumed -- not against the
-    shared wall clock, so interleaved tasks neither starve nor subsidise one
-    another.
+    calls: one round-robin pass per call, with new drivers allowed to join
+    the rotation at any time (``add_driver`` is safe to call from other
+    threads while one thread pumps).
     """
 
     def __init__(self, slice_steps: int = DEFAULT_SLICE_STEPS) -> None:
         if slice_steps < 1:
             raise ValueError(f"slice_steps must be >= 1, got {slice_steps}")
         self.slice_steps = slice_steps
-        self._tasks: List[_InterleavedTask] = []
         self._pending: deque = deque()
         self._lock = threading.Lock()
 
-    def __len__(self) -> int:
-        return len(self._tasks)
-
     @property
     def unfinished(self) -> int:
-        """Tasks still waiting for (more) pump passes."""
+        """Drivers still waiting for (more) pump passes."""
         return len(self._pending)
 
-    def _register(self, task: _InterleavedTask) -> int:
-        with self._lock:
-            if task.driver is None:
-                task.index = len(self._tasks)
-                self._tasks.append(task)
-            # Driver-backed tasks live only in the pending rotation: they are
-            # dropped outright when their driver finishes (a long-lived
-            # service re-enrolls resumed sessions with a fresh registration),
-            # so the interleaver never pins a finished session's kernel, OE
-            # store or tables in memory.
-            self._pending.append(task)
-        return task.index
+    def add_driver(self, driver) -> None:
+        """Enroll *driver* in the rotation.
 
-    def add(
-        self,
-        example,
-        config: Optional[SynthesisConfig] = None,
-        library=None,
-    ) -> int:
-        """Register a task; returns its index (results come back in order)."""
-        return self._register(
-            _InterleavedTask(
-                index=-1,
-                example=_coerce_example(example),
-                morpheus=Morpheus(library=library, config=config, _sanctioned=True),
-            )
-        )
-
-    def add_driver(self, driver) -> int:
-        """Register an externally managed task.
-
-        *driver* is any object with ``advance(max_steps) -> bool`` returning
-        ``True`` when the task is finished.  The driver owns its kernel,
-        context and budget; the interleaver contributes only the fair
-        round-robin slicing.  This is how the synthesis service enrolls
-        long-lived sessions (whose kernels are replaced across
-        snapshot/restore resumes) into the same scheduler that drives
-        benchmark batches.
-
-        Unlike :meth:`add`, a driver task joins only the pending rotation
-        (there is no result to collect in :meth:`run` order), so the returned
-        index is always ``-1`` and the task is released as soon as its
-        ``advance`` reports completion.
+        A driver leaves the rotation, and the interleaver drops its
+        reference, as soon as its ``advance`` reports completion: a
+        long-lived service re-enrolls resumed sessions with a fresh
+        registration, so the interleaver never pins a finished session's
+        kernel, OE store or tables in memory.
         """
-        return self._register(_InterleavedTask(index=-1, driver=driver))
+        with self._lock:
+            self._pending.append(driver)
 
-    # ------------------------------------------------------------------
-    def pump(
-        self,
-        on_result: Optional[Callable[[int, SynthesisResult], None]] = None,
-    ) -> int:
-        """One round-robin pass over the unfinished tasks.
+    def pump(self) -> int:
+        """One round-robin pass over the unfinished drivers.
 
-        Every task pending at the start of the pass gets one slice; finished
-        tasks leave the rotation (kernel tasks fire ``on_result``).  Returns
-        the number of tasks still unfinished.  Only one thread may pump at a
-        time; concurrent :meth:`add`/:meth:`add_driver` calls join the next
-        pass.
+        Every driver pending at the start of the pass gets one slice;
+        finished drivers leave the rotation.  Returns the number of drivers
+        still unfinished.  Only one thread may pump at a time; concurrent
+        :meth:`add_driver` calls join the next pass.
         """
         with self._lock:
             rotation = len(self._pending)
@@ -271,137 +172,74 @@ class KernelInterleaver:
             with self._lock:
                 if not self._pending:
                     break
-                task = self._pending.popleft()
-            if task.driver is not None:
-                finished = task.driver.advance(self.slice_steps)
-            else:
-                finished = self._advance(task)
-            if finished:
-                if task.driver is None and on_result is not None:
-                    on_result(task.index, task.result)
-            else:
+                driver = self._pending.popleft()
+            if not driver.advance(self.slice_steps):
                 with self._lock:
-                    self._pending.append(task)
+                    self._pending.append(driver)
         return self.unfinished
 
-    def run(
-        self,
-        on_result: Optional[Callable[[int, SynthesisResult], None]] = None,
-    ) -> List[SynthesisResult]:
-        """Drive every task to completion; results in :meth:`add` order.
-
-        ``on_result(index, result)`` fires as each task finishes (fast tasks
-        finish first regardless of registration order).
-        """
-        while self.pump(on_result=on_result):
+    def run(self) -> None:
+        """Pump until every enrolled driver has finished."""
+        while self.pump():
             pass
-        return [task.result for task in self._tasks]
 
-    def _advance(self, task: _InterleavedTask) -> bool:
-        """Run one slice of *task*'s kernel; True when the task finished."""
-        config = task.morpheus.config
-        with task.context.active():
-            if task.kernel is None:
-                started = time.perf_counter()
-                task.kernel = task.morpheus.kernel(task.example)
-                task.kernel.active_seconds += time.perf_counter() - started
-            kernel = task.kernel
-            budget = config.timeout
-            remaining = None if budget is None else budget - kernel.active_seconds
-            # Deterministic step-count budget (``config.max_steps``): unlike
-            # the wall-clock budget it cuts the search at the same frontier
-            # position on any host, so near-budget tasks cannot flip between
-            # solve and timeout when workers oversubscribe the CPUs.
-            step_budget = config.max_steps
-            slice_budget = self.slice_steps
-            if step_budget is not None:
-                slice_budget = min(slice_budget, step_budget - kernel.steps_taken)
-            more = False
-            if (remaining is None or remaining > 0) and slice_budget > 0:
-                deadline = (
-                    None if remaining is None else time.monotonic() + remaining
-                )
-                more = kernel.run(deadline=deadline, max_steps=slice_budget)
-            out_of_time = budget is not None and kernel.active_seconds >= budget
-            out_of_steps = (
-                step_budget is not None and kernel.steps_taken >= step_budget
-            )
-            if more and not out_of_time and not out_of_steps:
-                return False
-            task.result = task.morpheus.finalize(
-                kernel, elapsed=kernel.active_seconds
-            )
-        # Free the search state and the per-task caches (the context holds
+
+class _FinishingSession:
+    """A session driver that reports its core result once it finishes."""
+
+    def __init__(self, index: int, session, on_finish: Callable[[int, object], None]) -> None:
+        self.index = index
+        self.session = session
+        self.on_finish = on_finish
+
+    def advance(self, max_steps: int) -> bool:
+        if not self.session.advance(max_steps):
+            return False
+        self.on_finish(self.index, self.session.finalize())
+        # Free the search state and the session's caches (its context holds
         # the task's whole intern pool and formula cache); only the result
         # is kept.
-        task.kernel = None
-        task.context = None
+        self.session = None
         return True
 
 
 def interleave_benchmarks(
     pairs: Sequence[BenchmarkPair],
-    slice_steps: int = DEFAULT_SLICE_STEPS,
     on_result: Optional[Callable[[int, BenchmarkOutcome], None]] = None,
 ) -> List[BenchmarkOutcome]:
     """Run benchmark x configuration pairs through one interleaver.
 
-    The single-process backend of the ``--jobs`` harness: outcomes are
+    The single-process backend of the ``--jobs`` harness: one session per
+    pair, each finalized when its driver reports finished.  Outcomes are
     byte-identical to :func:`repro.benchmarks.runner.run_benchmark` on every
     deterministic field, in input order.
     """
-    interleaver = KernelInterleaver(slice_steps=slice_steps)
-    for benchmark, config, label, library in pairs:
-        interleaver.add(
-            Example.make(benchmark.inputs, benchmark.output), config, library
-        )
     outcomes: Dict[int, BenchmarkOutcome] = {}
 
-    def finish(index: int, result: SynthesisResult) -> None:
+    def finish(index: int, result) -> None:
         benchmark, config, label, _library = pairs[index]
         outcomes[index] = outcome_from_result(benchmark, config, result, label=label)
         if on_result is not None:
             on_result(index, outcomes[index])
 
-    interleaver.run(on_result=finish)
+    interleaver = KernelInterleaver()
+    for index, (benchmark, config, _label, library) in enumerate(pairs):
+        request = SynthesisRequest.from_tables(
+            benchmark.inputs, benchmark.output, config=config
+        )
+        session = create_session(request, library=library)
+        interleaver.add_driver(_FinishingSession(index, session, finish))
+    interleaver.run()
     return [outcomes[index] for index in range(len(pairs))]
 
 
 # ----------------------------------------------------------------------
 # Worker functions (top-level so they pickle under the spawn start method)
 # ----------------------------------------------------------------------
-def _run_pair_task(task):
-    index, benchmark, config, label, library = task
-    return [(index, run_benchmark(benchmark, config, library=library, label=label))]
-
-
 def _run_pair_batch(task):
     """Interleave one batch of indexed benchmark pairs inside a worker."""
-    indices, pairs, slice_steps = task
-    outcomes = interleave_benchmarks(pairs, slice_steps=slice_steps)
-    return list(zip(indices, outcomes))
-
-
-def _synthesize_task(task):
-    index, example, config, library = task
-    # Start from a cold formula cache, execution counters and intern pool so
-    # the outcome does not depend on what this process (or pool worker) ran
-    # before -- the same independence discipline run_benchmark applies for
-    # the benchmark harness.
-    clear_formula_cache()
-    reset_execution_state()
-    result = Morpheus(library=library, config=config, _sanctioned=True).synthesize(example)
-    return [(index, result)]
-
-
-def _synthesize_batch_task(task):
-    """Interleave one batch of indexed examples inside a worker."""
-    indices, examples, config, library, slice_steps = task
-    interleaver = KernelInterleaver(slice_steps=slice_steps)
-    for example in examples:
-        interleaver.add(example, config, library)
-    results = interleaver.run()
-    return list(zip(indices, results))
+    indices, pairs = task
+    return list(zip(indices, interleave_benchmarks(pairs)))
 
 
 def _round_robin_batches(count: int, batches: int) -> List[List[int]]:
@@ -419,28 +257,16 @@ def _round_robin_batches(count: int, batches: int) -> List[List[int]]:
 class ParallelRunner:
     """Runs benchmark x configuration pairs over a process pool.
 
-    ``jobs=None`` uses one worker per CPU; ``jobs=1`` degrades to a serial
-    loop with identical semantics (and no pool overhead), so callers can
-    thread a single ``--jobs`` value through unconditionally.
-
-    With ``interleave`` (the default) each worker process receives a *batch*
-    of pairs and steps their search kernels round-robin under per-task
-    :class:`TaskContext` isolation, so a fast task never queues behind a
-    slow one inside a worker; ``interleave=False`` restores the classic
-    one-whole-task-per-worker-at-a-time scheduling.  Deterministic outcome
-    fields are byte-identical between the two modes and the serial loop.
+    ``jobs=None`` uses one worker per CPU; ``jobs=1`` runs one in-process
+    interleaver over every pair (no pool overhead), so callers can thread a
+    single ``--jobs`` value through unconditionally.  Each pool worker
+    receives a *batch* of pairs and steps their sessions round-robin under
+    per-task :class:`TaskContext` isolation, so a fast task never queues
+    behind a slow one inside a worker.  Deterministic outcome fields are
+    byte-identical to the serial loop.
     """
 
     jobs: Optional[int] = None
-    #: Optional multiprocessing start method ("fork", "spawn", ...).
-    start_method: Optional[str] = None
-    #: Interleave kernel steps across each worker's batch of tasks.
-    interleave: bool = True
-    #: Kernel steps per scheduling slice (interleaved mode).
-    slice_steps: int = DEFAULT_SLICE_STEPS
-    #: Batches handed to each worker over the run (smaller batches improve
-    #: progress granularity, larger ones improve interleaving fairness).
-    batches_per_worker: int = BATCHES_PER_WORKER
     #: Path to a warm-start knowledge base file (:mod:`repro.engine.kb`).
     #: Each worker process opens its own connection to it; ``None`` runs
     #: cold.  The KB only changes how much work each task performs, never
@@ -461,7 +287,7 @@ class ParallelRunner:
 
         ``progress`` is invoked in the parent process as outcomes arrive:
         per task with ``jobs=1`` (one in-process interleaver drives every
-        kernel and reports each finish immediately), per completed batch
+        session and reports each finish immediately), per completed batch
         under a pool (a worker's outcomes only cross the process boundary
         together).
         """
@@ -477,34 +303,18 @@ class ParallelRunner:
 
             if current_kb() is None:
                 init_worker_kb(self.kb_path)
-        if self.interleave:
-            if self.jobs == 1:
-                # One interleaver over everything: maximal fairness and
-                # per-task progress (no batch granularity in-process).
-                outcomes = interleave_benchmarks(
-                    pairs, slice_steps=self.slice_steps, on_result=on_result
-                )
-                return outcomes
-            groups = _round_robin_batches(
-                len(pairs), self.jobs * max(1, self.batches_per_worker)
-            )
-            batch_tasks = [
-                (indices, [pairs[index] for index in indices], self.slice_steps)
-                for indices in groups
-            ]
-            collected = map_indexed(
-                _run_pair_batch, batch_tasks, self.jobs, self.start_method,
-                on_result=on_result, initializer=initializer, initargs=initargs,
-            )
-        else:
-            tasks = [
-                (index, benchmark, config, label, library)
-                for index, (benchmark, config, label, library) in enumerate(pairs)
-            ]
-            collected = map_indexed(
-                _run_pair_task, tasks, self.jobs, self.start_method,
-                on_result=on_result, initializer=initializer, initargs=initargs,
-            )
+        if self.jobs == 1:
+            # One interleaver over everything: maximal fairness and
+            # per-task progress (no batch granularity in-process).
+            return interleave_benchmarks(pairs, on_result=on_result)
+        groups = _round_robin_batches(len(pairs), self.jobs * BATCHES_PER_WORKER)
+        batch_tasks = [
+            (indices, [pairs[index] for index in indices]) for indices in groups
+        ]
+        collected = map_indexed(
+            _run_pair_batch, batch_tasks, self.jobs,
+            on_result=on_result, initializer=initializer, initargs=initargs,
+        )
         return [collected[index] for index in range(len(pairs))]
 
     def run_suite(
@@ -548,107 +358,3 @@ class ParallelRunner:
         for outcome in outcomes:
             runs[outcome.configuration].outcomes.append(outcome)
         return runs
-
-
-# ----------------------------------------------------------------------
-# synthesize_batch: many examples, one configuration
-# ----------------------------------------------------------------------
-def synthesize_batch(
-    examples: Sequence,
-    config: Optional[SynthesisConfig] = None,
-    library=None,
-    jobs: Optional[int] = None,
-    interleave: bool = False,
-    slice_steps: int = DEFAULT_SLICE_STEPS,
-) -> List[SynthesisResult]:
-    """Synthesize a program for every example, fanning over worker processes.
-
-    *examples* may be :class:`Example` objects or ``(inputs, output)`` pairs.
-    Results come back in input order regardless of completion order, and each
-    example's search is bit-for-bit the search ``Morpheus.synthesize`` would
-    run serially (workers share nothing), so the outcomes are deterministic.
-
-    ``interleave=True`` steps the kernels of each worker's batch round-robin
-    under per-task :class:`TaskContext` isolation (with ``jobs=1`` this is
-    pure cooperative scheduling in the calling process); per-task budgets
-    are then charged against active time.  The one timing-sensitive edge in
-    either mode: an example whose solve time approaches the configured
-    wall-clock timeout may time out when more workers run than there are
-    CPU cores.
-    """
-    jobs = resolve_jobs(jobs)
-    config = config if config is not None else SynthesisConfig()
-    coerced = [_coerce_example(example) for example in examples]
-    if interleave:
-        if jobs == 1:
-            # One interleaver over every example: pure cooperative
-            # scheduling, no sequential batch boundaries.
-            interleaver = KernelInterleaver(slice_steps=slice_steps)
-            for example in coerced:
-                interleaver.add(example, config, library)
-            return interleaver.run()
-        groups = _round_robin_batches(len(coerced), jobs * BATCHES_PER_WORKER)
-        batch_tasks = [
-            (indices, [coerced[index] for index in indices], config, library, slice_steps)
-            for indices in groups
-        ]
-        collected = map_indexed(_synthesize_batch_task, batch_tasks, jobs)
-    else:
-        tasks = [
-            (index, example, config, library)
-            for index, example in enumerate(coerced)
-        ]
-        collected = map_indexed(_synthesize_task, tasks, jobs)
-    return [collected[index] for index in range(len(coerced))]
-
-
-# ----------------------------------------------------------------------
-# synthesize_portfolio: one example, racing configurations
-# ----------------------------------------------------------------------
-@dataclass
-class PortfolioResult:
-    """Outcome of racing several configurations on one example."""
-
-    #: The winning (or, if nothing solved, the first configuration's) result.
-    result: SynthesisResult
-    #: ``describe()`` of the configuration that produced :attr:`result`.
-    winner: Optional[str]
-    #: How many configurations ran to completion before the race ended.
-    attempts: int
-
-    @property
-    def solved(self) -> bool:
-        return self.result.solved
-
-
-def synthesize_portfolio(
-    example,
-    configs: Sequence[SynthesisConfig],
-    library=None,
-    jobs: Optional[int] = None,
-) -> PortfolioResult:
-    """Race *configs* on one example; return the first solution found.
-
-    With ``jobs > 1`` the configurations run concurrently and the remaining
-    workers are cancelled as soon as one solves the example -- which
-    configuration wins can therefore depend on timing.  With ``jobs=1`` the
-    configurations run in order and the first solver wins deterministically.
-    If no configuration solves the example, the first configuration's
-    (unsolved) result is returned with ``winner=None``.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("synthesize_portfolio needs at least one configuration")
-    jobs = resolve_jobs(jobs)
-    example = _coerce_example(example)
-    tasks = [(index, example, config, library) for index, config in enumerate(configs)]
-
-    collected = map_indexed(
-        _synthesize_task, tasks, jobs,
-        stop=lambda _index, result: result.solved,
-    )
-    attempts = len(collected)
-    for index, result in collected.items():
-        if result.solved:
-            return PortfolioResult(result, configs[index].describe(), attempts)
-    return PortfolioResult(collected[min(collected)], None, attempts)

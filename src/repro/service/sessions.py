@@ -36,10 +36,6 @@ from ..api import SynthesisRequest, SynthesisSession
 from ..engine.context import TaskContext
 from ..engine.parallel import KernelInterleaver
 
-#: Kernel steps per scheduler slice (one ``pump`` pass gives every live
-#: session one slice).
-DEFAULT_SLICE_STEPS = 64
-
 #: Sessions idle longer than this many seconds are expired by the sweeper.
 DEFAULT_TTL = 600.0
 
@@ -192,7 +188,6 @@ class SessionStore:
         ttl: Optional[float] = DEFAULT_TTL,
         rate: float = DEFAULT_RATE,
         burst: int = DEFAULT_BURST,
-        slice_steps: int = DEFAULT_SLICE_STEPS,
         persist_dir: Optional[str] = None,
         kb_path: Optional[str] = None,
     ) -> None:
@@ -213,7 +208,7 @@ class SessionStore:
         self._registry_lock = threading.Lock()
         #: Serialises all TaskContext-active work (see the module docstring).
         self._work_lock = threading.Lock()
-        self._interleaver = KernelInterleaver(slice_steps=slice_steps)
+        self._interleaver = KernelInterleaver()
         self._wake = threading.Event()
         self._stop = threading.Event()
         self.sessions_created = 0

@@ -11,7 +11,8 @@ invariance (disabling batching changes nothing observable).
 from repro.baselines import spec2_config
 from repro.benchmarks import r_benchmark_suite
 from repro.benchmarks.runner import run_benchmark
-from repro.core import SynthesisConfig, synthesize
+from repro import synthesize
+from repro.core import SynthesisConfig
 from repro.core import completion
 from repro.dataframe import Table
 

@@ -6,11 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import Example, Morpheus, SynthesisConfig, standard_library
+from repro import synthesize
+from repro.core import Example, SynthesisConfig, SynthesisStats, standard_library
 from repro.core.cost import CostModel
 from repro.core.frontier import (
     Frontier,
     HypothesisState,
+    SearchKernel,
     SketchState,
     decode_hypothesis,
     encode_hypothesis,
@@ -33,6 +35,21 @@ ADULTS = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
 #: Snapshot of the STUDENTS -> ADULTS search after 3 steps, in the
 #: version-1 layout that also carried per-entry ranks and a lower bound.
 RANKED_SNAPSHOT = Path(__file__).with_name("snapshot_v1_ranked.json")
+
+CONFIG = SynthesisConfig(timeout=20)
+
+
+def new_kernel(example, k=1):
+    """A bare kernel, stepped by the test itself (no session driver)."""
+    return SearchKernel(example, CONFIG, LIBRARY, SynthesisStats(), k=k)
+
+
+def restore_kernel(payload, example, **kwargs):
+    return SearchKernel.restore(payload, example, CONFIG, LIBRARY, SynthesisStats(), **kwargs)
+
+
+def solve(example, k=None, config=CONFIG):
+    return synthesize(example.inputs, example.output, config=config, k=k)
 
 
 def build_hypothesis(*names):
@@ -100,25 +117,22 @@ class TestSearchKernel:
         return Example.make([STUDENTS], ADULTS)
 
     def test_run_finds_the_same_program_as_synthesize(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        result = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        result = solve(self.example())
+        kernel = new_kernel(self.example())
         kernel.run()
         assert kernel.solved
         assert kernel.solutions[0] == result.program
 
     def test_anytime_stepping_reaches_the_same_program(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        reference = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        reference = solve(self.example())
+        kernel = new_kernel(self.example())
         # Drive the kernel in small slices, as an interleaving service would.
         while kernel.run(max_steps=7):
             pass
         assert kernel.solutions[0] == reference.program
 
     def test_step_advances_one_state_at_a_time(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        kernel = morpheus.kernel(self.example())
+        kernel = new_kernel(self.example())
         steps = 0
         while not kernel.done and steps < 100_000:
             kernel.step()
@@ -133,9 +147,8 @@ class TestSearchKernel:
         # finds the same program as an uninterrupted search.
         import time
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        reference = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        reference = solve(self.example())
+        kernel = new_kernel(self.example())
         # An already-expired deadline: the first completion step raises
         # CompletionTimeout, which must re-push the interrupted state.
         assert kernel.run(deadline=time.monotonic() - 1.0)
@@ -155,9 +168,8 @@ class TestSearchKernel:
         from repro.core.completion import CompletionTimeout
         from repro.core.hypothesis import render_program
 
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        reference = morpheus.synthesize(self.example())
-        kernel = morpheus.kernel(self.example())
+        reference = solve(self.example())
+        kernel = new_kernel(self.example())
         steps = 0
         while not kernel.done and steps < 100_000:
             if steps % 5 == 4:
@@ -174,11 +186,10 @@ class TestSearchKernel:
 
     @pytest.mark.parametrize("source", ["live", "ranked"])
     def test_snapshot_restore_resumes_to_the_same_program(self, source):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        reference = morpheus.synthesize(self.example())
+        reference = solve(self.example())
 
         if source == "live":
-            kernel = morpheus.kernel(self.example())
+            kernel = new_kernel(self.example())
             kernel.run(max_steps=5)
             assert not kernel.solved  # interrupted mid-search
             payload = kernel.snapshot()
@@ -192,13 +203,7 @@ class TestSearchKernel:
             assert all("rank" in entry for entry in payload["pending"])
             assert "rank" in payload["in_flight"]
 
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        restored = SearchKernel.restore(
-            payload, self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        restored = restore_kernel(payload, self.example())
         restored.run()
         assert restored.solved
         assert restored.solutions[0] == reference.program
@@ -208,24 +213,18 @@ class TestSearchKernel:
         # still in flight: the restored kernel re-runs that expansion and
         # re-finds the first program, which must not consume the remaining
         # top-k quota -- the caller already holds it.
-        from repro.core.frontier import SearchKernel
         from repro.core.hypothesis import render_program
-        from repro.core.synthesizer import SynthesisStats
 
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
         example = Example.make([STUDENTS], output)
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        reference = morpheus.synthesize(example, k=2)
+        reference = solve(example, k=2)
         assert len(reference.programs) == 2
 
-        kernel = morpheus.kernel(example, k=2)
+        kernel = new_kernel(example, k=2)
         while not kernel.solutions:
             kernel.step()
         payload = kernel.snapshot()
-        restored = SearchKernel.restore(
-            payload, example, morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        restored = restore_kernel(payload, example)
         restored.run()
         combined = [render_program(kernel.solutions[0])] + [
             render_program(program) for program in restored.solutions
@@ -236,8 +235,7 @@ class TestSearchKernel:
     def test_snapshot_equals_the_ranked_payload_without_its_ranks(self):
         # Dropping the rank bookkeeping changed nothing else the kernel
         # writes: same search position, same entries, same order.
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        kernel = morpheus.kernel(self.example())
+        kernel = new_kernel(self.example())
         kernel.run(max_steps=3)
         ranked = json.loads(RANKED_SNAPSHOT.read_text())
         del ranked["lower_bound"]
@@ -246,31 +244,23 @@ class TestSearchKernel:
         assert json.loads(json.dumps(kernel.snapshot())) == ranked
 
     def test_snapshot_of_a_solved_kernel_restores_to_done(self):
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        kernel = morpheus.kernel(self.example())
+        kernel = new_kernel(self.example())
         kernel.run()
         assert kernel.solved
-        restored = SearchKernel.restore(
-            kernel.snapshot(), self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        restored = restore_kernel(kernel.snapshot(), self.example())
         assert restored.done  # quota already met; no extra program is hunted
         assert restored.run() is False
         assert restored.solutions == []
 
     def test_snapshot_is_json_serialisable(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20))
-        kernel = morpheus.kernel(self.example())
+        kernel = new_kernel(self.example())
         kernel.run(max_steps=5)
         payload = json.loads(json.dumps(kernel.snapshot()))
         assert payload["version"] == 1
         assert payload["pending"]
 
     def test_frontier_peak_is_reported(self):
-        result = Morpheus(config=SynthesisConfig(timeout=20)).synthesize(self.example())
+        result = solve(self.example())
         assert result.stats.frontier_peak > 0
 
 
@@ -280,7 +270,7 @@ class TestTopK:
         # solutions (select variants, negative selects, ...).
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
         example = Example.make([STUDENTS], output)
-        result = Morpheus(config=SynthesisConfig(timeout=20)).synthesize(example, k=3)
+        result = solve(example, k=3)
         assert result.solved
         assert 1 <= len(result.programs) <= 3
         rendered = result.render_all()
@@ -291,8 +281,8 @@ class TestTopK:
     def test_first_solution_is_independent_of_k(self):
         output = Table(["name", "gpa"], [["Alice", 4.0], ["Bob", 3.2], ["Tom", 3.0]])
         example = Example.make([STUDENTS], output)
-        single = Morpheus(config=SynthesisConfig(timeout=20)).synthesize(example)
-        multi = Morpheus(config=SynthesisConfig(timeout=20, top_k=3)).synthesize(example)
+        single = solve(example)
+        multi = solve(example, config=SynthesisConfig(timeout=20, top_k=3))
         assert multi.program == single.program
         assert multi.programs[0] == multi.program
 
@@ -305,18 +295,10 @@ class TestSnapshotValidation:
         return Example.make([STUDENTS], ADULTS)
 
     def restore(self, payload):
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20), _sanctioned=True)
-        return SearchKernel.restore(
-            payload, self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(),
-        )
+        return restore_kernel(payload, self.example())
 
     def snapshot(self):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20), _sanctioned=True)
-        kernel = morpheus.kernel(self.example())
+        kernel = new_kernel(self.example())
         kernel.run(max_steps=5)
         return kernel.snapshot()
 
@@ -374,27 +356,21 @@ class TestSuspendResume:
         return Example.make([STUDENTS], output)
 
     def build(self, k=3):
-        morpheus = Morpheus(config=SynthesisConfig(timeout=20), _sanctioned=True)
-        return morpheus, morpheus.kernel(self.example(), k=k)
+        return new_kernel(self.example(), k=k)
 
     def test_suspended_kernel_resumes_to_the_same_programs(self):
-        from repro.core.frontier import SearchKernel
         from repro.core.hypothesis import render_program
-        from repro.core.synthesizer import SynthesisStats
 
-        morpheus, reference = self.build()
+        reference = self.build()
         reference.run()
         expected = [render_program(p) for p in reference.solutions]
 
-        morpheus2, kernel = self.build()
+        kernel = self.build()
         while not kernel.solutions:
             kernel.step()
         found = [render_program(p) for p in kernel.solutions]
         payload = kernel.suspend()
-        restored = SearchKernel.restore(
-            payload, self.example(), morpheus2.config, morpheus2.library,
-            morpheus2.cost_model, SynthesisStats(), oe_store=kernel.oe_store,
-        )
+        restored = restore_kernel(payload, self.example(), oe_store=kernel.oe_store)
         restored.run()
         assert found + [render_program(p) for p in restored.solutions] == expected
 
@@ -403,21 +379,16 @@ class TestSuspendResume:
         # not a copy), and the representatives the suspended search fully
         # explored stay in it -- an observationally equal state offered
         # after the resume merges instead of being re-enumerated.
-        from repro.core.frontier import SearchKernel
         from repro.core.oe import OEStore
-        from repro.core.synthesizer import SynthesisStats
 
-        morpheus, kernel = self.build()
+        kernel = self.build()
         while not (kernel.solutions and kernel.frontier.has_continuations):
             kernel.step()
         payload = kernel.suspend()
         assert len(kernel.oe_store) > 0  # fully-explored representatives survive
         surviving = set(kernel.oe_store._representatives)
 
-        restored = SearchKernel.restore(
-            payload, self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(), oe_store=kernel.oe_store,
-        )
+        restored = restore_kernel(payload, self.example(), oe_store=kernel.oe_store)
         assert restored.oe_store is kernel.oe_store
         assert restored.completer.oe_store is kernel.oe_store
         # A pre-suspend state re-offered post-resume merges with the carry...
@@ -433,7 +404,7 @@ class TestSuspendResume:
         # successor's re-expansion is not wrongly suppressed.
         from repro.core.frontier import CompletionState
 
-        morpheus, kernel = self.build()
+        kernel = self.build()
         while not (kernel.solutions and kernel.frontier.has_continuations):
             kernel.step()
         pending_admits = sum(
@@ -446,16 +417,12 @@ class TestSuspendResume:
         assert len(kernel.oe_store) == before - pending_admits
 
     def test_steps_taken_counts_this_kernels_work_only(self):
-        from repro.core.frontier import SearchKernel
-        from repro.core.synthesizer import SynthesisStats
-
-        morpheus, kernel = self.build(k=1)
+        kernel = self.build(k=1)
         assert kernel.steps_taken == 0
         kernel.run(max_steps=5)
         assert kernel.steps_taken == 5
-        restored = SearchKernel.restore(
-            kernel.suspend(), self.example(), morpheus.config, morpheus.library,
-            morpheus.cost_model, SynthesisStats(), oe_store=kernel.oe_store,
+        restored = restore_kernel(
+            kernel.suspend(), self.example(), oe_store=kernel.oe_store
         )
         assert restored.steps_taken == 0  # accumulating across kernels is the caller's job
         restored.run(max_steps=3)

@@ -1,13 +1,12 @@
 """Tests for the top-level synthesis algorithm (Algorithm 1)."""
 
+from repro import synthesize
 from repro.core import (
     Example,
-    Morpheus,
     SpecLevel,
     SynthesisConfig,
     sql_library,
     standard_library,
-    synthesize,
 )
 from repro.dataframe import Table, tables_match_for_synthesis
 from repro.core.hypothesis import evaluate
@@ -84,11 +83,11 @@ class TestSimpleTasks:
                     yield from self._components
 
         output = Table(["name"], [["Zoe"]])
-        synthesizer = Morpheus(
+        result = synthesize(
+            [STUDENTS], output,
             library=EndlessLibrary(standard_library()),
             config=SynthesisConfig(timeout=0.5),
         )
-        result = synthesizer.synthesize(Example.make([STUDENTS], output))
         assert not result.solved
         assert result.elapsed < 10
 
@@ -156,8 +155,9 @@ class TestConfigurations:
 
     def test_restricted_library(self):
         output = Table(["name", "age", "gpa"], [["Bob", 18, 3.2], ["Tom", 12, 3.0]])
-        synthesizer = Morpheus(library=sql_library(), config=SynthesisConfig(timeout=20))
-        result = synthesizer.synthesize(Example.make([STUDENTS], output))
+        result = synthesize(
+            [STUDENTS], output, library=sql_library(), config=SynthesisConfig(timeout=20)
+        )
         assert result.solved
 
     def test_stats_are_populated(self):

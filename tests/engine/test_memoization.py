@@ -2,7 +2,8 @@
 
 import itertools
 
-from repro.core import SynthesisConfig, standard_library, synthesize
+from repro import synthesize
+from repro.core import SynthesisConfig, standard_library
 from repro.core.deduction import DeductionEngine
 from repro.core.hypothesis import initial_hypothesis, refine, table_holes
 from repro.dataframe import Table
@@ -155,7 +156,7 @@ class TestFormulaCache:
         first = synthesize(inputs, output, config=config)
         second = synthesize(inputs, output, config=config)
         assert first.solved and second.solved
-        # The second run replays the first run's queries against the warm
-        # process-wide cache, so its per-run delta must show hits.
-        assert second.stats.solver_cache.hits > 0
-        assert second.stats.solver_cache_hit_rate > 0.0
+        # Each run counts in its own session's formula cache: the second
+        # run's window holds exactly its own lookups, none of the first's.
+        assert first.stats.solver_cache.lookups > 0
+        assert second.stats.solver_cache == first.stats.solver_cache

@@ -1,17 +1,21 @@
 """Tests for the process-parallel drivers (repro.engine.parallel)."""
 
+import dataclasses
+import gc
+import weakref
+
 import pytest
 
+from repro.api import SynthesisRequest, create_session
 from repro.baselines import FIGURE16_CONFIGS
 from repro.benchmarks import r_benchmark_suite, run_figure16, run_suite
-from repro.core import Example, Morpheus, SpecLevel, SynthesisConfig
-from repro.dataframe import Table
+from repro.benchmarks.runner import outcome_from_result
+from repro.core import SynthesisConfig
 from repro.engine import (
     KernelInterleaver,
     ParallelRunner,
     TaskContext,
-    synthesize_batch,
-    synthesize_portfolio,
+    interleave_benchmarks,
 )
 
 #: Fast representative benchmarks (each solves in well under a second).
@@ -28,6 +32,17 @@ def fast_suite():
     return r_benchmark_suite().subset(names=FAST_NAMES)
 
 
+#: Outcome fields that are wall-clock timings, not deterministic counters.
+TIMING_FIELDS = ("elapsed", "smt_time", "exec_time", "verb_times")
+
+
+def deterministic_fields(outcome):
+    fields = dataclasses.asdict(outcome)
+    for name in TIMING_FIELDS:
+        del fields[name]
+    return fields
+
+
 def outcome_fingerprint(run):
     return [
         (o.benchmark, o.category, o.configuration, o.solved, o.program_size)
@@ -40,8 +55,48 @@ class TestParallelRunner:
         with pytest.raises(ValueError):
             ParallelRunner(jobs=0)
 
+    def test_rejects_negative_jobs(self):
+        with pytest.raises(ValueError):
+            ParallelRunner(jobs=-2)
+
     def test_default_jobs_is_at_least_one(self):
         assert ParallelRunner().jobs >= 1
+
+    def test_pool_results_come_back_in_input_order(self):
+        # Reversed, so the pool's round-robin batches and the input order
+        # disagree; outcomes must still line up with the input pairs.
+        config = SynthesisConfig(timeout=TIMEOUT)
+        suite = list(reversed(list(fast_suite())))
+        pairs = [(b, config, "spec2", None) for b in suite]
+        pooled = ParallelRunner(jobs=2).map_benchmarks(pairs)
+        dedicated = [
+            outcome_from_result(
+                b,
+                config,
+                create_session(
+                    SynthesisRequest.from_tables(b.inputs, b.output, config=config)
+                ).solve(),
+                label="spec2",
+            )
+            for b in suite
+        ]
+        assert [o.benchmark for o in pooled] == [b.name for b in suite]
+        assert [deterministic_fields(o) for o in pooled] == [
+            deterministic_fields(o) for o in dedicated
+        ]
+
+    def test_pool_is_deterministic_across_runs(self):
+        config = SynthesisConfig(timeout=TIMEOUT)
+        pairs = [(b, config, "spec2", None) for b in fast_suite()]
+        first = ParallelRunner(jobs=2).map_benchmarks(pairs)
+        second = ParallelRunner(jobs=2).map_benchmarks(pairs)
+        assert [deterministic_fields(o) for o in first] == [
+            deterministic_fields(o) for o in second
+        ]
+
+    def test_empty_pairs_return_no_outcomes(self):
+        assert ParallelRunner(jobs=1).map_benchmarks([]) == []
+        assert ParallelRunner(jobs=2).map_benchmarks([]) == []
 
     def test_parallel_suite_matches_serial(self):
         suite = fast_suite()
@@ -131,21 +186,23 @@ class TestTaskContext:
 
 
 class TestKernelInterleaver:
-    def examples(self):
-        suite = fast_suite()
-        return [Example.make(b.inputs, b.output) for b in suite]
+    def sessions(self, config):
+        return [
+            create_session(
+                SynthesisRequest.from_tables(b.inputs, b.output, config=config)
+            )
+            for b in fast_suite()
+        ]
 
     def test_interleaved_results_match_dedicated_runs(self):
         config = SynthesisConfig(timeout=TIMEOUT)
-        dedicated = []
-        for example in self.examples():
-            context = TaskContext()
-            with context.active():
-                dedicated.append(Morpheus(config=config).synthesize(example))
+        dedicated = [session.solve() for session in self.sessions(config)]
+        sessions = self.sessions(config)
         interleaver = KernelInterleaver(slice_steps=5)
-        for example in self.examples():
-            interleaver.add(example, config)
-        results = interleaver.run()
+        for session in sessions:
+            interleaver.add_driver(session)
+        interleaver.run()
+        results = [session.finalize() for session in sessions]
         assert len(results) == len(dedicated)
         for expected, actual in zip(dedicated, results):
             assert actual.solved == expected.solved
@@ -159,14 +216,25 @@ class TestKernelInterleaver:
             assert actual.stats.tables_built == expected.stats.tables_built
             assert actual.stats.cells_interned == expected.stats.cells_interned
 
+    def test_interleave_benchmarks_matches_dedicated_runs(self):
+        config = SynthesisConfig(timeout=TIMEOUT)
+        suite = fast_suite()
+        pairs = [(b, config, "spec2", None) for b in suite]
+        interleaved = interleave_benchmarks(pairs)
+        dedicated = [
+            outcome_from_result(b, config, session.solve(), label="spec2")
+            for b, session in zip(suite, self.sessions(config))
+        ]
+        assert [deterministic_fields(o) for o in interleaved] == [
+            deterministic_fields(o) for o in dedicated
+        ]
+
     def test_on_result_fires_once_per_task(self):
         config = SynthesisConfig(timeout=TIMEOUT)
-        interleaver = KernelInterleaver()
-        for example in self.examples():
-            interleaver.add(example, config)
+        pairs = [(b, config, "spec2", None) for b in fast_suite()]
         seen = []
-        interleaver.run(on_result=lambda index, result: seen.append(index))
-        assert sorted(seen) == list(range(len(self.examples())))
+        interleave_benchmarks(pairs, on_result=lambda index, outcome: seen.append(index))
+        assert sorted(seen) == list(range(len(pairs)))
 
     def test_rejects_invalid_slice_steps(self):
         with pytest.raises(ValueError):
@@ -182,146 +250,72 @@ class TestKernelInterleaver:
                 return self.slices <= 0
 
         interleaver = KernelInterleaver(slice_steps=1)
-        interleaver.add_driver(FakeDriver(1))
-        interleaver.add_driver(FakeDriver(3))
+        drivers = [FakeDriver(1), FakeDriver(3)]
+        for driver in drivers:
+            interleaver.add_driver(driver)
         assert interleaver.unfinished == 2
         while interleaver.pump():
             pass
-        # Finished drivers leave the rotation *and* hold no task-list slot:
-        # a long-lived service re-enrolls sessions on every resume, so any
-        # retained reference would pin expired sessions in memory forever.
+        # Finished drivers leave the rotation *and* the interleaver keeps no
+        # reference to them: a long-lived service re-enrolls sessions on
+        # every resume, so any retained reference would pin expired
+        # sessions in memory forever.
         assert interleaver.unfinished == 0
-        assert len(interleaver._tasks) == 0
+        released = [weakref.ref(driver) for driver in drivers]
+        del drivers, driver
+        gc.collect()
+        assert all(ref() is None for ref in released)
         interleaver.add_driver(FakeDriver(2))
         assert interleaver.unfinished == 1
         while interleaver.pump():
             pass
         assert interleaver.unfinished == 0
-        assert len(interleaver._tasks) == 0
 
     def test_step_budget_bounds_an_untimed_search(self):
         # timeout=None + max_steps: the only budget is the deterministic
         # step count, so the run must terminate (and report unsolved) after
         # exactly the budget, independent of host speed.
         config = SynthesisConfig(timeout=None, max_steps=3)
+        sessions = self.sessions(config)
         interleaver = KernelInterleaver(slice_steps=2)
-        for example in self.examples():
-            interleaver.add(example, config)
-        results = interleaver.run()
-        assert all(not result.solved for result in results)
+        for session in sessions:
+            interleaver.add_driver(session)
+        interleaver.run()
+        assert all(session.status == "timeout" for session in sessions)
+        assert all(session.steps == 3 for session in sessions)
+        assert all(not session.finalize().solved for session in sessions)
 
     def test_step_budget_matches_dedicated_runs(self):
-        # The deterministic slice mode: with a step budget the interleaver
-        # cuts every kernel at the same frontier position as a dedicated
-        # run, no matter how wall-clock time is divided across slices --
-        # the fix for the PR 5 caveat where near-timeout tasks flipped
-        # solve/timeout under --jobs on an oversubscribed host.
+        # One driver, every scheduler: with a step budget, a session cut by
+        # solve(), by advance(7) slices, by a 3-session interleaver or by a
+        # 2-process ParallelRunner stops at the same frontier position, so
+        # the program and every deterministic counter agree, no matter how
+        # wall-clock time is divided across slices.
+        suite = fast_suite()
         for budget in (25, 10_000):
             config = SynthesisConfig(timeout=None, max_steps=budget)
-            dedicated = []
-            for example in self.examples():
-                context = TaskContext()
-                with context.active():
-                    dedicated.append(Morpheus(config=config).synthesize(example))
-            # slice_steps deliberately does not divide the budget evenly.
+            pairs = [(b, config, "spec2", None) for b in suite]
+
+            def outcomes(results):
+                return [
+                    deterministic_fields(outcome_from_result(b, config, r, label="spec2"))
+                    for b, r in zip(suite, results)
+                ]
+
+            dedicated = outcomes([session.solve() for session in self.sessions(config)])
+            sliced = self.sessions(config)
+            for session in sliced:
+                # 7 deliberately does not divide the budget evenly.
+                while not session.advance(7):
+                    pass
+            interleaved = self.sessions(config)
             interleaver = KernelInterleaver(slice_steps=7)
-            for example in self.examples():
-                interleaver.add(example, config)
-            results = interleaver.run()
-            for expected, actual in zip(dedicated, results):
-                assert actual.solved == expected.solved
-                assert actual.render() == expected.render()
-                assert actual.stats.smt_calls == expected.stats.smt_calls
-                assert actual.stats.frontier_peak == expected.stats.frontier_peak
-                assert (
-                    actual.stats.completion.partial_programs
-                    == expected.stats.completion.partial_programs
-                )
-
-    def test_synthesize_batch_interleaved_matches_plain(self):
-        config = SynthesisConfig(timeout=TIMEOUT)
-        plain = synthesize_batch(self.examples(), config=config, jobs=1)
-        interleaved = synthesize_batch(
-            self.examples(), config=config, jobs=1, interleave=True
-        )
-        assert [r.render() for r in interleaved] == [r.render() for r in plain]
-        assert [r.solved for r in interleaved] == [r.solved for r in plain]
-
-
-class TestSynthesizeBatch:
-    def examples(self):
-        suite = fast_suite()
-        return [Example.make(b.inputs, b.output) for b in suite]
-
-    def test_results_come_back_in_input_order(self):
-        examples = self.examples()
-        config = SynthesisConfig(timeout=TIMEOUT)
-        serial = [Morpheus(config=config).synthesize(e) for e in examples]
-        batch = synthesize_batch(examples, config=config, jobs=2)
-        assert len(batch) == len(examples)
-        for expected, actual in zip(serial, batch):
-            assert actual.solved == expected.solved
-            assert actual.size == expected.size
-            assert actual.render() == expected.render()
-
-    def test_batch_is_deterministic_across_runs(self):
-        examples = self.examples()
-        config = SynthesisConfig(timeout=TIMEOUT)
-        first = synthesize_batch(examples, config=config, jobs=2)
-        second = synthesize_batch(examples, config=config, jobs=2)
-        assert [r.render() for r in first] == [r.render() for r in second]
-
-    def test_accepts_inputs_output_pairs(self):
-        inputs = [Table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])]
-        output = Table(["a", "b"], [[1, 2], [4, 5]])
-        results = synthesize_batch([(inputs, output)], jobs=1,
-                                   config=SynthesisConfig(timeout=TIMEOUT))
-        assert results[0].solved
-
-    def test_rejects_invalid_jobs(self):
-        with pytest.raises(ValueError):
-            synthesize_batch([], jobs=-2)
-
-
-class TestSynthesizePortfolio:
-    def example(self):
-        inputs = [Table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])]
-        output = Table(["a", "b"], [[1, 2], [4, 5]])
-        return inputs, output
-
-    def test_requires_at_least_one_config(self):
-        with pytest.raises(ValueError):
-            synthesize_portfolio(self.example(), [])
-
-    def test_serial_portfolio_prefers_earlier_configs(self):
-        configs = [
-            SynthesisConfig(timeout=TIMEOUT),
-            SynthesisConfig(deduction=False, timeout=TIMEOUT),
-        ]
-        portfolio = synthesize_portfolio(self.example(), configs, jobs=1)
-        assert portfolio.solved
-        assert portfolio.winner == configs[0].describe()
-        assert portfolio.attempts == 1
-
-    def test_parallel_portfolio_returns_a_solution(self):
-        configs = [
-            SynthesisConfig(timeout=TIMEOUT),
-            SynthesisConfig(deduction=False, timeout=TIMEOUT),
-        ]
-        portfolio = synthesize_portfolio(self.example(), configs, jobs=2)
-        assert portfolio.solved
-        assert portfolio.winner in {c.describe() for c in configs}
-        assert 1 <= portfolio.attempts <= len(configs)
-
-    def test_unsolvable_example_returns_first_config_result(self):
-        # An output whose values cannot be produced from the input.
-        inputs = [Table(["a", "b"], [[1, 2], [3, 4]])]
-        output = Table(["zz"], [["impossible"]])
-        configs = [
-            SynthesisConfig(timeout=2.0, max_size=1),
-            SynthesisConfig(timeout=2.0, max_size=1, spec_level=SpecLevel.SPEC1),
-        ]
-        portfolio = synthesize_portfolio((inputs, output), configs, jobs=1)
-        assert not portfolio.solved
-        assert portfolio.winner is None
-        assert portfolio.attempts == len(configs)
+            for session in interleaved:
+                interleaver.add_driver(session)
+            interleaver.run()
+            pooled = ParallelRunner(jobs=2).map_benchmarks(pairs)
+            assert outcomes([s.finalize() for s in sliced]) == dedicated
+            assert outcomes([s.finalize() for s in interleaved]) == dedicated
+            assert [deterministic_fields(outcome) for outcome in pooled] == dedicated
+            # Not vacuous: 25 steps cut every search, 10,000 solve every task.
+            assert [fields["solved"] for fields in dedicated] == [budget > 25] * len(suite)

@@ -10,9 +10,9 @@ outcome fails loudly.
 
 import pytest
 
+from repro import synthesize
 from repro.benchmarks import r_benchmark_suite
-from repro.core import Example, Morpheus, SynthesisConfig
-from repro.smt.solver import clear_formula_cache
+from repro.core import SynthesisConfig
 
 #: name -> exact rendered program (the golden output of the seed synthesizer).
 GOLDEN_PROGRAMS = {
@@ -31,11 +31,8 @@ GOLDEN_PROGRAMS = {
 
 def synthesize_benchmark(name, cdcl):
     benchmark = r_benchmark_suite().get(name)
-    clear_formula_cache()
     config = SynthesisConfig(timeout=30, cdcl=cdcl)
-    return Morpheus(config=config).synthesize(
-        Example.make(benchmark.inputs, benchmark.output)
-    )
+    return synthesize(benchmark.inputs, benchmark.output, config=config)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))

@@ -1,12 +1,12 @@
 """Tests for the sanctioned facade: repro.api."""
 
 import json
-import sys
 import warnings
 
 import pytest
 
-from repro import Table
+import repro
+from repro import Table, synthesize
 from repro.api import (
     CandidateProgram,
     ExamplePayload,
@@ -21,7 +21,7 @@ from repro.api import (
     table_from_json,
     table_to_json,
 )
-from repro.core import Morpheus, SynthesisConfig, synthesize
+from repro.core import SynthesisConfig
 
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
@@ -136,6 +136,81 @@ class TestSessionLifecycle:
         restored = SessionState.from_json(json.loads(json.dumps(state.to_json())))
         assert restored == state
 
+    def test_solve_resumes_after_advance_slices(self):
+        # advance and solve share one budgeted slice, so a solve() that
+        # picks up a partly advanced session ends where a fresh one does.
+        sliced = create_session(filter_request())
+        assert not sliced.advance(max_steps=3)
+        resumed = sliced.solve()
+        fresh = create_session(filter_request()).solve()
+        assert resumed.solved and fresh.solved
+        assert resumed.render() == fresh.render()
+        assert resumed.stats.smt_calls == fresh.stats.smt_calls
+        assert resumed.stats.frontier_peak == fresh.stats.frontier_peak
+        assert (
+            resumed.stats.completion.partial_programs
+            == fresh.stats.completion.partial_programs
+        )
+        assert resumed.stats.tables_built == fresh.stats.tables_built
+
+    def test_finalize_without_elapsed_reports_active_seconds(self):
+        session = create_session(filter_request())
+        while not session.advance(max_steps=16):
+            pass
+        result = session.finalize()
+        assert result.solved
+        assert result.elapsed == session.active_seconds > 0
+
+    def test_advance_on_a_finished_session_takes_no_steps(self):
+        session = create_session(filter_request())
+        session.solve()
+        before = session.counters()
+        assert session.advance(max_steps=8) is True
+        assert session.steps == before["steps"]
+        assert session.counters() == before
+
+
+class TestSynthesizeWrapper:
+    def test_accepts_inputs_output_tables(self):
+        inputs = [Table(["a", "b", "c"], [[1, 2, 3], [4, 5, 6]])]
+        output = Table(["a", "b"], [[1, 2], [4, 5]])
+        result = synthesize(inputs, output, config=SynthesisConfig(timeout=20))
+        assert result.solved
+        assert result.programs[0] is result.program
+
+    def test_matches_a_session_solve(self):
+        wrapped = synthesize([EMPLOYEES], HEADCOUNT, config=SynthesisConfig(timeout=20))
+        direct = create_session(
+            SynthesisRequest.from_tables([EMPLOYEES], HEADCOUNT, timeout=20)
+        ).solve()
+        assert wrapped.solved and direct.solved
+        assert wrapped.render() == direct.render()
+        assert wrapped.stats.smt_calls == direct.stats.smt_calls
+        assert wrapped.stats.frontier_peak == direct.stats.frontier_peak
+        assert (
+            wrapped.stats.completion.partial_programs
+            == direct.stats.completion.partial_programs
+        )
+        assert wrapped.stats.tables_built == direct.stats.tables_built
+
+    def test_k_overrides_top_k_without_mutating_the_config(self):
+        config = SynthesisConfig(timeout=20)
+        result = synthesize([STUDENTS], ADULTS, config=config, k=2)
+        assert config.top_k == 1
+        assert result.config.top_k == 2
+        rendered = result.render_all()
+        assert 1 <= len(rendered) <= 2
+        assert len(set(rendered)) == len(rendered)
+
+    def test_unsolvable_example_reports_no_program(self):
+        # An output whose values cannot be produced from the input.
+        inputs = [Table(["a", "b"], [[1, 2], [3, 4]])]
+        output = Table(["zz"], [["impossible"]])
+        result = synthesize(inputs, output, config=SynthesisConfig(timeout=2.0, max_size=1))
+        assert not result.solved
+        assert result.program is None
+        assert result.programs == []
+
 
 class TestAddExample:
     DISTINGUISHER = ExamplePayload.make(
@@ -201,26 +276,41 @@ class TestAddExample:
         assert session.candidates[0].validated
         assert session.status == "done"
 
+    def test_core_result_after_a_resume_counts_the_whole_session(self):
+        # The core result's counter windows are the session's, captured once
+        # at creation: work done before the resume stays in them, and the
+        # frontier peak covers the suspended kernel too.
+        session = self.run_to_first_candidate()
+        session.add_example(
+            ExamplePayload.make(
+                [Table(["name", "age", "gpa"], [["Alice", 8, 4.0], ["Max", 20, 2.0]])],
+                Table(["name", "age", "gpa"], [["Max", 20, 2.0]]),
+            )
+        )
+        result = session.solve()
+        counters = session.counters()
+        assert result.solved
+        assert result.stats.execution.tables_built == counters["tables_built"] > 0
+        assert result.stats.execution.exec_cache.hits == counters["exec_cache_hits"]
+        assert result.stats.frontier_peak == counters["frontier_peak"]
+
 
 class TestDeprecation:
-    def test_direct_morpheus_construction_warns(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            Morpheus()
-            warned_at = sys._getframe().f_lineno - 1
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-            and "repro.api.create_session" in str(w.message)
-        ]
-        assert deprecations
-        # The warning must point at the caller's own line, not somewhere
-        # inside core/synthesizer.py -- that is what makes it actionable.
-        assert deprecations[0].filename == __file__
-        assert deprecations[0].lineno == warned_at
-
     def test_sanctioned_paths_do_not_warn(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             solve(SynthesisRequest.from_tables([EMPLOYEES], HEADCOUNT, timeout=20))
         assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
+
+    def test_removed_entry_points_are_gone(self):
+        # One kernel driver: the deprecated engine class, the batch and
+        # portfolio helpers and the scheduler knobs were deleted outright.
+        from repro.engine import ParallelRunner
+        from repro.service.sessions import SessionStore
+
+        for name in ("Morpheus", "synthesize_batch", "synthesize_portfolio"):
+            assert not hasattr(repro, name)
+        with pytest.raises(TypeError, match="interleave"):
+            ParallelRunner(interleave=False)
+        with pytest.raises(TypeError, match="slice_steps"):
+            SessionStore(slice_steps=1)

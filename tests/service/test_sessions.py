@@ -93,9 +93,10 @@ class TestSessionStore:
         session = store.create(filter_request())
         assert wait_until(lambda: session.session.finished)
         assert wait_until(lambda: store._interleaver.unfinished == 0)
-        # No task-list slot retained either: the interleaver must not keep
-        # finished (and later expired) sessions reachable forever.
-        assert len(store._interleaver._tasks) == 0
+        # The rotation is the interleaver's only reference to a driver, so
+        # leaving it means finished (and later expired) sessions are not
+        # kept reachable forever.
+        assert session not in store._interleaver._pending
 
     def test_metrics_aggregate_counters(self, store):
         session = store.create(filter_request())
