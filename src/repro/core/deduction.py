@@ -34,13 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..dataframe.profiling import execution_stats
 from ..dataframe.table import Table
 from ..engine.cache import CacheStats, ExecutionCache, LRUCache
-from ..smt.solver import (
-    CheckResult,
-    IncrementalStats,
-    Solver,
-    formula_cache_lookup,
-    formula_cache_store,
-)
+from ..smt.solver import CheckResult, IncrementalStats, Solver
 from ..smt.terms import BoolVal, Formula, conjoin, disjoin
 from .abstraction import (
     AbstractionCache,
@@ -503,9 +497,8 @@ class DeductionEngine:
                 return False
             self.stats.prescreen_fallback += 1
 
-        query = self.build_query(hypothesis, evaluated)
         started = time.perf_counter()
-        result = self._check_residual(hypothesis, evaluated, query)
+        result = self._check_residual(hypothesis, evaluated)
         self.stats.smt_calls += 1
         self.stats.smt_time += time.perf_counter() - started
         feasible = result is not CheckResult.UNSAT
@@ -517,38 +510,55 @@ class DeductionEngine:
         return feasible
 
     # ------------------------------------------------------------------
-    # Residual solving (tier 2): formula cache, then per-path sessions
+    # Residual solving (tier 2): per-path sessions
     # ------------------------------------------------------------------
     def _check_residual(
-        self, hypothesis: Hypothesis, evaluated: Dict[int, Table], query: Formula
+        self, hypothesis: Hypothesis, evaluated: Dict[int, Table]
     ) -> CheckResult:
         """Decide one residual query (everything the cheaper tiers passed on).
 
-        The process-wide formula cache is probed first -- with exactly the
-        accounting :meth:`Solver.check` would produce, so warm-cache replays
-        stay byte-identical to the monolithic path this replaced.  Misses go
-        to the persistent session keyed by the query's sketch path: the base
-        of the query (example formula, phi_out, bindings, component specs)
-        is asserted once per session, and only the evaluated subterms'
-        abstractions -- the part that varies between sibling queries -- are
-        passed as per-call assumptions.  The decided verdict is written back
-        to the formula cache, so later structurally identical queries (and
-        later runs) hit tier 0.
-        """
-        if isinstance(query, BoolVal):
-            return CheckResult.SAT if query.value else CheckResult.UNSAT
-        cached = formula_cache_lookup(query)
-        if cached is not None:
-            return cached[0]
-        session, named = self._residual_session(hypothesis, evaluated)
-        result = session.check_assumptions(named)
-        formula_cache_store(query, result, session.model())
-        return result
+        The query goes to the persistent session keyed by its sketch path:
+        the base of the query (example formula, phi_out, bindings, component
+        specs) is asserted once per session, and only the evaluated
+        subterms' abstractions -- the part that varies between sibling
+        queries -- are passed as per-call assumptions.  A query whose base
+        holds a constant ``false`` (a component spec may be one) is UNSAT
+        without opening a session; abstractions, the example formula,
+        nonnegativity and phi_out are conjunctions of atoms, never constant.
 
-    def _residual_session(
+        The query is never assembled into one :meth:`build_query` formula:
+        a repeated query is answered by the verdict memo before it gets
+        here, so there is no formula-keyed cache to probe.
+        """
+        key, base, named = self._residual_parts(hypothesis, evaluated)
+        if any(isinstance(fragment, BoolVal) and not fragment.value for fragment in base):
+            return CheckResult.UNSAT
+        session = self._residual_sessions.get(key)
+        if session is None:
+            session = Solver()
+            # All sessions account into the engine's incremental counters.
+            session.incremental_stats = self.stats.incremental
+            session.add(self._example_formula)
+            session.add(self._nonnegativity(self._query_node_ids(hypothesis)))
+            session.add(
+                self.node_vars(hypothesis.node_id).equal_to(
+                    self._output_vars, self.level
+                )
+            )
+            session.add(*base)
+            self._residual_sessions[key] = session
+            self.stats.smt_sessions += 1
+            if len(self._residual_sessions) > RESIDUAL_SESSION_LIMIT:
+                self._residual_sessions.popitem(last=False)
+        else:
+            self._residual_sessions.move_to_end(key)
+            self.stats.smt_session_reuse += 1
+        return session.check_assumptions(named)
+
+    def _residual_parts(
         self, hypothesis: Hypothesis, evaluated: Dict[int, Table]
-    ) -> Tuple[Solver, Dict[tuple, Formula]]:
-        """The (possibly reused) session and assumptions for one query.
+    ) -> Tuple[tuple, List[Formula], Dict[tuple, Formula]]:
+        """The session key, base fragments and assumptions of one query.
 
         The walk mirrors :meth:`specification` and :meth:`build_query`
         fragment for fragment, splitting them by what varies under a fixed
@@ -592,28 +602,7 @@ class DeductionEngine:
                 walk(child, under_eval)
 
         walk(hypothesis, False)
-        key = tuple(key_parts)
-        session = self._residual_sessions.get(key)
-        if session is None:
-            session = Solver()
-            # All sessions account into the engine's incremental counters.
-            session.incremental_stats = self.stats.incremental
-            session.add(self._example_formula)
-            session.add(self._nonnegativity(self._query_node_ids(hypothesis)))
-            session.add(
-                self.node_vars(hypothesis.node_id).equal_to(
-                    self._output_vars, self.level
-                )
-            )
-            session.add(*base)
-            self._residual_sessions[key] = session
-            self.stats.smt_sessions += 1
-            if len(self._residual_sessions) > RESIDUAL_SESSION_LIMIT:
-                self._residual_sessions.popitem(last=False)
-        else:
-            self._residual_sessions.move_to_end(key)
-            self.stats.smt_session_reuse += 1
-        return session, named
+        return tuple(key_parts), base, named
 
     # ------------------------------------------------------------------
     # Conflict-driven lemma learning

@@ -11,7 +11,10 @@ hole may carry a qualifier binding it to one of the example's input tables; a
 * A hypothesis whose every hole carries a qualifier is a **complete program**
   (Definition 7).
 
-Hypotheses are immutable; refinement and hole filling return new trees.
+Hypotheses are immutable; refinement and hole filling return new trees
+that share every subtree off the rewritten path with the old one.  Each node
+computes its structural hash once and keeps it, so probing a memo with a
+hypothesis costs one hash per new node, not one per node of the tree.
 """
 
 from __future__ import annotations
@@ -39,6 +42,19 @@ class Hole:
     binding: Optional[int] = None
     #: For first-order holes: the concrete argument value filling the hole.
     value: Optional[ValueArgument] = None
+    _hash = None
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.node_id, self.hole_type, self.binding, self.value))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: a stored hash would be stale in a
+        # process with another string-hash seed.
+        return (Hole, (self.node_id, self.hole_type, self.binding, self.value))
 
     @property
     def is_bound(self) -> bool:
@@ -68,6 +84,22 @@ class Apply:
     component: Component
     table_children: Tuple["Hypothesis", ...]
     value_children: Tuple[Hole, ...]
+    _hash = None
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash(
+                (self.node_id, self.component, self.table_children, self.value_children)
+            )
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        return (
+            Apply,
+            (self.node_id, self.component, self.table_children, self.value_children),
+        )
 
     def __repr__(self) -> str:
         children = list(self.table_children) + list(self.value_children)
@@ -156,19 +188,37 @@ def max_node_id(hypothesis: Hypothesis) -> int:
 # Tree rewriting
 # ----------------------------------------------------------------------
 def replace_node(hypothesis: Hypothesis, node_id: int, new_node: Hypothesis) -> Hypothesis:
-    """Return a copy of the tree with the node *node_id* replaced."""
+    """Return the tree with the node *node_id* replaced.
+
+    Only the path from the root down to that node is copied: every subtree
+    off the path is returned as the same object, and so is the whole tree
+    when no node has the id.  (Node ids are unique within a tree.)
+    """
     if hypothesis.node_id == node_id:
         return new_node
     if isinstance(hypothesis, Hole):
         return hypothesis
-    table_children = tuple(
-        replace_node(child, node_id, new_node) for child in hypothesis.table_children
-    )
-    value_children = tuple(
-        new_node if child.node_id == node_id and isinstance(new_node, Hole) else child
-        for child in hypothesis.value_children
-    )
-    return Apply(hypothesis.node_id, hypothesis.component, table_children, value_children)
+    table_children = hypothesis.table_children
+    for index, child in enumerate(table_children):
+        replaced = replace_node(child, node_id, new_node)
+        if replaced is not child:
+            return Apply(
+                hypothesis.node_id,
+                hypothesis.component,
+                table_children[:index] + (replaced,) + table_children[index + 1:],
+                hypothesis.value_children,
+            )
+    if isinstance(new_node, Hole):
+        value_children = hypothesis.value_children
+        for index, child in enumerate(value_children):
+            if child.node_id == node_id:
+                return Apply(
+                    hypothesis.node_id,
+                    hypothesis.component,
+                    table_children,
+                    value_children[:index] + (new_node,) + value_children[index + 1:],
+                )
+    return hypothesis
 
 
 def refine(

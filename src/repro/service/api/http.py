@@ -78,6 +78,11 @@ class SynthesisHTTPServer(ThreadingHTTPServer):
 class SynthesisRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-synthesis"
+    # Buffer each response and send it with one flush, with Nagle's
+    # algorithm off: a header segment followed by a separate small body
+    # segment stalls on the client's delayed ACK (~40 ms per request).
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     #: Quiet by default; the CLI flips this on with --verbose.
     verbose = False
@@ -98,6 +103,7 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})
@@ -225,6 +231,7 @@ class SynthesisRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Transfer-Encoding", "chunked")
         self.send_header("Cache-Control", "no-store")
         self.end_headers()
+        self.wfile.flush()
         budget = MAX_WAIT_SECONDS if wait is None else wait
         deadline = time.monotonic() + budget
         sent = 0

@@ -50,11 +50,12 @@ FORMULA_CACHE_SIZE = 16384
 #: budget) so session recycling is deterministic.
 SESSION_CLAUSE_LIMIT = 4096
 
-#: Process-wide memo of ``check`` verdicts.  Formulas are immutable and
-#: hashable, and satisfiability is a pure function of the formula, so results
-#: can be shared across Solver instances (and across synthesis runs -- the
-#: deduction engine asks near-identical queries for structurally similar
-#: hypotheses on every benchmark).  Each entry is a ``(result, model)`` pair.
+#: Memo of :meth:`Solver.check` verdicts (one per task context, see
+#: :func:`install_formula_cache`).  Formulas are immutable and hashable, and
+#: satisfiability is a pure function of the formula, so results can be
+#: shared across Solver instances.  Each entry is a ``(result, model)`` pair.
+#: The deduction engine's residual queries do not pass through it: they are
+#: decided on per-path sessions, behind the engine's own verdict memo.
 _formula_cache: "LRUCache[Formula, Tuple[CheckResult, Optional[Dict[str, int]]]]" = None  # set below
 
 
@@ -84,25 +85,6 @@ def new_formula_cache() -> "LRUCache":
     caller resized via :func:`configure_formula_cache`.
     """
     return LRUCache(maxsize=_formula_cache.maxsize)
-
-
-def formula_cache_lookup(
-    formula: Formula,
-) -> Optional[Tuple["CheckResult", Optional[Dict[str, int]]]]:
-    """Probe the process-wide verdict cache, counting a hit or a miss.
-
-    Exposed for callers that decide cache misses through their own machinery
-    (the deduction engine's residual sessions) but must keep the cache's
-    accounting identical to routing the query through :meth:`Solver.check`.
-    """
-    return _formula_cache.get(formula)
-
-
-def formula_cache_store(
-    formula: Formula, result: "CheckResult", model: Optional[Dict[str, int]] = None
-) -> None:
-    """Record an externally decided verdict in the process-wide cache."""
-    _formula_cache.put(formula, (result, dict(model) if model is not None else None))
 
 
 def install_formula_cache(cache: "LRUCache") -> "LRUCache":

@@ -16,20 +16,29 @@ constraints read naturally::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 Number = Union[int, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # ----------------------------------------------------------------------
 # Linear expressions
 # ----------------------------------------------------------------------
 class LinExpr:
-    """A linear expression ``c0 + c1*x1 + ... + cn*xn`` over integer variables."""
+    """A linear expression ``c0 + c1*x1 + ... + cn*xn`` over integer variables.
 
-    __slots__ = ("coeffs", "const")
+    Expressions are immutable: :attr:`coeffs` is a read-only view and the
+    attributes cannot be rebound, so the structural hash is computed on
+    first use and stored.
+    """
+
+    __slots__ = ("coeffs", "const", "_hash")
 
     def __init__(self, coeffs: Mapping[str, Number] = (), const: Number = 0) -> None:
         cleaned: Dict[str, Fraction] = {}
@@ -37,14 +46,32 @@ class LinExpr:
             coeff = Fraction(coeff)
             if coeff != 0:
                 cleaned[name] = coeff
-        self.coeffs: Dict[str, Fraction] = cleaned
-        self.const: Fraction = Fraction(const)
+        _init_linexpr(self, cleaned, Fraction(const))
+
+    @staticmethod
+    def _build(coeffs: Dict[str, Fraction], const: Fraction) -> "LinExpr":
+        """An expression over coefficients that are already ``Fraction``s
+        with zeros dropped; *coeffs* is owned by the result from here on."""
+        expr = object.__new__(LinExpr)
+        _init_linexpr(expr, coeffs, const)
+        return expr
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("LinExpr is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("LinExpr is immutable")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor: a stored hash would be stale in a
+        # process with another string-hash seed.
+        return (LinExpr, (dict(self.coeffs), self.const))
 
     # -- construction helpers -------------------------------------------------
     @staticmethod
     def variable(name: str) -> "LinExpr":
         """The expression consisting of a single variable."""
-        return LinExpr({name: 1}, 0)
+        return LinExpr._build({name: _ONE}, _ZERO)
 
     @staticmethod
     def constant(value: Number) -> "LinExpr":
@@ -61,29 +88,45 @@ class LinExpr:
         raise TypeError(f"cannot use {value!r} in a linear expression")
 
     # -- arithmetic ------------------------------------------------------------
-    def __add__(self, other: "LinOperand") -> "LinExpr":
-        other = LinExpr.coerce(other)
-        coeffs = dict(self.coeffs)
+    def _combine(self, other: "LinExpr", sign: int) -> "LinExpr":
+        """``self + other`` (*sign* 1) or ``self - other`` (*sign* -1)."""
+        coeffs = self.coeffs.copy()
         for name, coeff in other.coeffs.items():
-            coeffs[name] = coeffs.get(name, Fraction(0)) + coeff
-        return LinExpr(coeffs, self.const + other.const)
+            total = coeffs.get(name)
+            if total is None:
+                coeffs[name] = coeff if sign > 0 else -coeff
+                continue
+            total = total + coeff if sign > 0 else total - coeff
+            if total:
+                coeffs[name] = total
+            else:
+                del coeffs[name]
+        const = self.const + other.const if sign > 0 else self.const - other.const
+        return LinExpr._build(coeffs, const)
+
+    def __add__(self, other: "LinOperand") -> "LinExpr":
+        return self._combine(LinExpr.coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({name: -coeff for name, coeff in self.coeffs.items()}, -self.const)
+        return LinExpr._build(
+            {name: -coeff for name, coeff in self.coeffs.items()}, -self.const
+        )
 
     def __sub__(self, other: "LinOperand") -> "LinExpr":
-        return self + (-LinExpr.coerce(other))
+        return self._combine(LinExpr.coerce(other), -1)
 
     def __rsub__(self, other: "LinOperand") -> "LinExpr":
-        return LinExpr.coerce(other) + (-self)
+        return LinExpr.coerce(other)._combine(self, -1)
 
     def __mul__(self, scalar: Number) -> "LinExpr":
         if isinstance(scalar, LinExpr):
             raise TypeError("products of variables are not linear")
         scalar = Fraction(scalar)
-        return LinExpr(
+        if not scalar:
+            return LinExpr._build({}, scalar)
+        return LinExpr._build(
             {name: coeff * scalar for name, coeff in self.coeffs.items()},
             self.const * scalar,
         )
@@ -138,12 +181,24 @@ class LinExpr:
         return " + ".join(pieces).replace("+ -", "- ")
 
     def __eq__(self, other: object) -> bool:  # structural equality
+        if self is other:
+            return True
         if not isinstance(other, LinExpr):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.const == other.const
+        return self.const == other.const and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((tuple(sorted(self.coeffs.items())), self.const))
+        value = self._hash
+        if value is None:
+            value = hash((tuple(sorted(self.coeffs.items())), self.const))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+
+def _init_linexpr(expr: LinExpr, coeffs: Dict[str, Fraction], const: Fraction) -> None:
+    object.__setattr__(expr, "coeffs", MappingProxyType(coeffs))
+    object.__setattr__(expr, "const", const)
+    object.__setattr__(expr, "_hash", None)
 
 
 LinOperand = Union[LinExpr, int, Fraction]
@@ -193,7 +248,25 @@ class Atom(Formula):
     """
 
     op: str
-    expr: LinExpr = field(compare=True)
+    expr: LinExpr
+    _hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.op == other.op and self.expr == other.expr
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.op, self.expr))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        return (Atom, (self.op, self.expr))
 
     @staticmethod
     def less_equal(left: LinExpr, right: LinExpr) -> "Atom":
@@ -240,6 +313,24 @@ class Not(Formula):
     """Logical negation."""
 
     operand: Formula
+    _hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Not:
+            return NotImplemented
+        return self.operand == other.operand
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.operand,))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        return (Not, (self.operand,))
 
     def __repr__(self) -> str:
         return f"(not {self.operand!r})"
@@ -248,7 +339,7 @@ class Not(Formula):
 class _NaryFormula(Formula):
     """Shared implementation of :class:`And` / :class:`Or`."""
 
-    __slots__ = ("operands",)
+    __slots__ = ("operands", "_hash")
     _symbol = "?"
 
     def __init__(self, *operands: Formula) -> None:
@@ -259,15 +350,24 @@ class _NaryFormula(Formula):
             else:
                 flattened.append(operand)
         self.operands: Tuple[Formula, ...] = tuple(flattened)
+        self._hash = None
+
+    def __reduce__(self):
+        return (self.__class__, self.operands)
 
     def __repr__(self) -> str:
         return "(" + f" {self._symbol} ".join(repr(op) for op in self.operands) + ")"
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, self.__class__) and self.operands == other.operands
 
     def __hash__(self) -> int:
-        return hash((self.__class__.__name__, self.operands))
+        value = self._hash
+        if value is None:
+            value = self._hash = hash((self.__class__.__name__, self.operands))
+        return value
 
 
 class And(_NaryFormula):
@@ -325,12 +425,11 @@ def formula_variables(formula: Formula) -> Tuple[str, ...]:
 
 def formula_atoms(formula: Formula) -> Tuple[Atom, ...]:
     """All distinct atoms occurring in *formula* (in first-appearance order)."""
-    atoms = []
+    atoms: Dict[Atom, None] = {}
 
     def walk(node: Formula) -> None:
         if isinstance(node, Atom):
-            if node not in atoms:
-                atoms.append(node)
+            atoms.setdefault(node)
         elif isinstance(node, Not):
             walk(node.operand)
         elif isinstance(node, (And, Or)):

@@ -7,6 +7,7 @@ counters from a threaded server must be byte-identical to serial runs.
 """
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -17,6 +18,7 @@ import pytest
 from repro import Table
 from repro.api import SynthesisRequest, SynthesisSession
 from repro.service import SessionStore, make_server
+from repro.service.api.http import SynthesisRequestHandler
 
 STUDENTS = Table(["name", "age", "gpa"],
                  [["Alice", 8, 4.0], ["Bob", 18, 3.2], ["Tom", 12, 3.0]])
@@ -164,6 +166,46 @@ class TestEndpoints:
         assert state["candidates"][0]["validated"]
         _, metrics = get(server, "/metrics")
         assert metrics["kernel_steps_total"] > 0
+
+
+class TestTransport:
+    def test_accepted_socket_disables_nagle(self, server, monkeypatch):
+        # With Nagle on, a response split over two small segments waits for
+        # the client's delayed ACK before its second segment goes out.
+        nodelay = []
+        setup = SynthesisRequestHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            nodelay.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(SynthesisRequestHandler, "setup", recording_setup)
+        assert get(server, "/healthz") == (200, {"status": "ok"})
+        assert nodelay and all(nodelay)
+
+    def test_json_response_is_sent_in_one_write(self, server, monkeypatch):
+        connections = []
+        sends = []
+        setup = SynthesisRequestHandler.setup
+        send = socket.socket.send
+
+        def recording_setup(handler):
+            setup(handler)
+            connections.append(handler.connection)
+
+        def recording_send(sock, data, *args):
+            if sock in connections:
+                sends.append(bytes(data))
+            return send(sock, data, *args)
+
+        monkeypatch.setattr(SynthesisRequestHandler, "setup", recording_setup)
+        monkeypatch.setattr(socket.socket, "send", recording_send)
+        assert get(server, "/healthz") == (200, {"status": "ok"})
+        assert len(sends) == 1
+        assert sends[0].startswith(b"HTTP/1.1 200")
+        assert sends[0].endswith(b'{"status": "ok"}')
 
 
 class TestStreaming:

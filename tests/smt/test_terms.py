@@ -1,6 +1,10 @@
 """Tests for linear expressions and formula construction."""
 
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,6 +14,7 @@ from repro.smt import (
     FALSE,
     TRUE,
     And,
+    Atom,
     BoolVal,
     Int,
     LinExpr,
@@ -153,3 +158,110 @@ class TestProperties:
         expr = Int("a") * scale + offset - Int("b")
         atom = expr <= 0
         assert atom.holds(assignment) == (expr.evaluate(assignment) <= 0)
+
+
+#: (variable, coefficient) terms of a linear expression, possibly repeating.
+TERMS = st.lists(
+    st.tuples(
+        st.sampled_from(["x", "y", "n1.row", "n2.col"]),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    ),
+    max_size=6,
+)
+CONSTS = st.fractions(min_value=-20, max_value=20, max_denominator=3)
+
+
+def sum_in_order(terms, const):
+    expr = LinExpr.constant(const)
+    for name, coeff in terms:
+        expr = expr + Int(name) * coeff
+    return expr
+
+
+def fresh(expr):
+    """The same expression, rebuilt through the public constructor."""
+    return LinExpr(dict(expr.coeffs), expr.const)
+
+
+class TestHashOnce:
+    @given(TERMS, CONSTS, st.randoms(use_true_random=False))
+    def test_arithmetic_order_does_not_matter(self, terms, const, rng):
+        forward = sum_in_order(terms, const)
+        shuffled = list(terms)
+        rng.shuffle(shuffled)
+        backward = LinExpr.constant(const) - sum_in_order(
+            [(name, -coeff) for name, coeff in reversed(shuffled)], 0
+        )
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert (forward <= 0) == (backward <= 0)
+        assert hash(forward <= 0) == hash(backward <= 0)
+
+    @given(TERMS, CONSTS)
+    def test_cached_hash_equals_a_fresh_structural_hash(self, terms, const):
+        expr = sum_in_order(terms, const)
+        first = hash(expr)
+        assert hash(expr) == first == hash(fresh(expr))
+        atom = expr.equals(1)
+        other = (expr <= 2) | Not(atom)
+        assert hash(atom) == hash(Atom(atom.op, fresh(atom.expr)))
+        rebuilt = Or(Atom("<=", fresh((expr <= 2).expr)), Not(Atom("==", fresh(atom.expr))))
+        assert other == rebuilt and hash(other) == hash(rebuilt)
+
+    @given(TERMS, CONSTS)
+    def test_zero_coefficients_never_survive_arithmetic(self, terms, const):
+        expr = sum_in_order(terms, const)
+        cancelled = expr - expr
+        assert dict(cancelled.coeffs) == {} and cancelled.const == 0
+        assert cancelled == LinExpr.constant(0)
+        assert all(coeff != 0 for coeff in expr.coeffs.values())
+        assert (expr * 0) == LinExpr.constant(0)
+
+    def test_coefficients_cannot_be_mutated(self):
+        expr = Int("x") + 2 * Int("y") + 3
+        before = hash(expr)
+        with pytest.raises(TypeError):
+            expr.coeffs["x"] = Fraction(5)
+        with pytest.raises(AttributeError):
+            expr.const = Fraction(7)
+        with pytest.raises(AttributeError):
+            expr.coeffs = {}
+        with pytest.raises(AttributeError):
+            del expr.const
+        assert hash(expr) == before and expr == Int("x") + 2 * Int("y") + 3
+
+    def test_equality_returns_early_on_identity(self):
+        atom = Int("x") <= 3
+        formula = And(atom, Not(atom))
+        for node in (atom, atom.expr, formula, formula.operands[1]):
+            assert node == node
+
+    def test_formula_atoms_keeps_first_appearance_order(self):
+        a, b, c = (Int(name) <= 0 for name in "abc")
+        formula = And(b, Or(a, Not(Int("b") <= 0)), c, a)
+        assert formula_atoms(formula) == (b, a, c)
+        assert formula_atoms(formula)[0] is b
+
+    def test_pickled_terms_rehash_under_another_hash_seed(self):
+        # A stored hash of a string-keyed term is only valid in the process
+        # (hash seed) that computed it: unpickling must recompute it.
+        formula = And(Int("n1.row").equals(3), Not(Int("n2.col") <= 1))
+        hash(formula)
+        script = (
+            "import pickle, sys\n"
+            "from repro.smt import And, Int, Not\n"
+            "loaded = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = And(Int('n1.row').equals(3), Not(Int('n2.col') <= 1))\n"
+            "print(loaded == fresh and hash(loaded) == hash(fresh)\n"
+            "      and hash(loaded.operands[0].expr) == hash(fresh.operands[0].expr))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        for seed in ("1", "2"):
+            result = subprocess.run(
+                [sys.executable, "-c", script],
+                input=pickle.dumps(formula),
+                capture_output=True,
+                env={"PYTHONHASHSEED": seed, "PYTHONPATH": str(src)},
+                check=True,
+            )
+            assert result.stdout.strip() == b"True"
